@@ -47,7 +47,6 @@ from .homology import (
     check_boundaries,
     direct_sum,
     empty_chain_complex,
-    homology,
     invariant_factors,
     kunneth_join,
     kunneth_product,

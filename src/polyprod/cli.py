@@ -20,6 +20,7 @@ from .homology import HomologySummary, homology
 from .products import (
     DEFAULT_CELL_BUDGET,
     SplitSummand,
+    SplittingResult,
     hochster_homology,
     moment_angle_chain,
     poincare_polynomial,
@@ -92,6 +93,22 @@ def _resolve_pairs(specs: Sequence[str] | None, m: int):
     return pairs
 
 
+def _emit_splitting(args, result: SplittingResult) -> int:
+    verdict = "VERIFIED" if result.verified else "MISMATCH"
+    payload = {
+        "summands": _summand_payload(result.summands),
+        "total": result.total.to_entries(),
+        "oracle": result.oracle.to_entries(),
+        "verified": result.verified,
+        "verdict": verdict,
+    }
+    rows = [("{" + ",".join(map(str, s.subset)) + "}", str(s.homology))
+            for s in result.summands]
+    rows.append(("verdict", verdict))
+    _emit(args, payload, rows)
+    return EXIT_OK if result.verified else EXIT_MISMATCH
+
+
 def _with_job_map(jobs: int, fn: Callable):
     if jobs > 1:
         with Pool(jobs) as pool:
@@ -149,18 +166,7 @@ def _cmd_split(args) -> int:
     result = _with_job_map(
         args.jobs,
         lambda jm: stable_splitting(k, pairs, args.budget, job_map=jm))
-    payload = {
-        "summands": _summand_payload(result.summands),
-        "total": result.total.to_entries(),
-        "oracle": result.oracle.to_entries(),
-        "verified": result.verified,
-        "verdict": "VERIFIED" if result.verified else "MISMATCH",
-    }
-    rows = [("{" + ",".join(map(str, s.subset)) + "}", str(s.homology))
-            for s in result.summands]
-    rows.append(("verdict", "VERIFIED" if result.verified else "MISMATCH"))
-    _emit(args, payload, rows)
-    return EXIT_OK if result.verified else EXIT_MISMATCH
+    return _emit_splitting(args, result)
 
 
 def _cmd_hochster(args) -> int:
@@ -179,19 +185,7 @@ def _cmd_hochster(args) -> int:
 def _cmd_wedge_lemma(args) -> int:
     k = _load(args)
     pairs = _resolve_pairs(args.pair, k.m)
-    result = wedge_lemma_decomposition(k, pairs, args.budget)
-    payload = {
-        "summands": _summand_payload(result.summands),
-        "total": result.total.to_entries(),
-        "oracle": result.oracle.to_entries(),
-        "verified": result.verified,
-        "verdict": "VERIFIED" if result.verified else "MISMATCH",
-    }
-    rows = [("{" + ",".join(map(str, s.subset)) + "}", str(s.homology))
-            for s in result.summands]
-    rows.append(("verdict", "VERIFIED" if result.verified else "MISMATCH"))
-    _emit(args, payload, rows)
-    return EXIT_OK if result.verified else EXIT_MISMATCH
+    return _emit_splitting(args, wedge_lemma_decomposition(k, pairs, args.budget))
 
 
 def _cmd_porter(args) -> int:

@@ -5,6 +5,8 @@ complexes with a first-class degree -1 (augmentation), tensor products with
 Koszul signs, algebraic joins, quotient complexes, and finitely generated
 abelian groups presented as (betti rank, invariant-factor chain).
 
+A chain complex is only its dims and boundaries: a basis cell has no name
+beyond its degree and its index in that degree.
 Boundary matrices are stored sparse and column-major: boundaries[d] is a
 tuple with one {row_index: coefficient} dict per degree-d basis cell.
 """
@@ -27,37 +29,57 @@ from .errors import (
 
 # -- abelian group bookkeeping ------------------------------------------------
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _coprime_base(values: Iterable[int]) -> set[int]:
+    """Pairwise-coprime integers > 1 of which every value is a product.
+
+    Two members a, b sharing a factor g > 1 are replaced by g, a/g, b/g.
+    That divides the product of all members and pending values by g, so
+    the refinement terminates without factoring anything.
+    """
+    base: set[int] = set()
+    pending = list(values)
+    while pending:
+        a = pending.pop()
+        if a == 1:
+            continue
+        for b in base:
+            g = gcd(a, b)
+            if g > 1:
+                base.remove(b)
+                pending.extend((g, a // g, b // g))
+                break
+        else:
+            base.add(a)
+    return base
 
 
 def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     """Canonical divisibility chain (entries > 1) of the group  + Z/o.
 
     The input orders need not satisfy any divisibility relation; e.g.
-    (2, 3) -> (6,) and (4, 2, 2) -> (2, 2, 4).
+    (2, 3) -> (6,) and (4, 2, 2) -> (2, 2, 4).  Every order is a product of
+    powers of one pairwise-coprime base, so the exponents are bucketed per
+    base element the way p-primary parts are bucketed per prime.
     """
-    by_prime: dict[int, list[int]] = {}
+    counts: dict[int, int] = {}
     for o in orders:
         o = abs(int(o))
-        if o <= 1:
-            continue
-        for p, e in _factorize(o).items():
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
+        if o > 1:
+            counts[o] = counts.get(o, 0) + 1
+    by_base: dict[int, list[int]] = {}
+    for p in _coprime_base(counts):
+        for o, count in counts.items():
+            e = 0
+            while o % p == 0:
+                o //= p
+                e += 1
+            if e:
+                by_base.setdefault(p, []).extend([e] * count)
+    if not by_base:
         return ()
-    width = max(len(v) for v in by_prime.values())
+    width = max(len(v) for v in by_base.values())
     slots = [1] * width
-    for p, exps in by_prime.items():
+    for p, exps in by_base.items():
         exps.sort(reverse=True)
         for s, e in enumerate(exps):
             slots[s] *= p ** e
@@ -130,7 +152,7 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
     row_data: dict[int, dict[int, int]] = {}
     col_data: dict[int, dict[int, int]] = {}
     for j, col in enumerate(cols):
-        for i, val in enumerate_col(col):
+        for i, val in col.items():
             row_data.setdefault(i, {})[j] = val
             col_data.setdefault(j, {})[i] = val
     heap: list[tuple[int, int, int]] = []
@@ -190,11 +212,6 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
                 dense[a][col_pos[j]] = val
         orders.extend(_dense_diagonal_orders(dense))
     return orders
-
-
-def enumerate_col(col) -> Iterable[tuple[int, int]]:
-    items = col.items() if isinstance(col, Mapping) else enumerate(col)
-    return [(i, v) for i, v in items if v]
 
 
 def _dense_diagonal_orders(m: list[list[int]]) -> list[int]:
@@ -354,7 +371,6 @@ class ChainComplex:
 
     dims: dict[int, int]
     boundaries: dict[int, tuple[dict[int, int], ...]]
-    labels: dict[int, tuple[str, ...]] | None = None
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.dims))
@@ -374,15 +390,9 @@ class ChainComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * n for d, n in self.dims.items())
 
-    def label(self, d: int, i: int) -> str:
-        if self.labels and d in self.labels:
-            return self.labels[d][i]
-        return f"c{d}_{i}"
-
 
 def make_chain_complex(dims: Mapping[int, int],
-                       boundaries: Mapping[int, Sequence[Mapping[int, int]]],
-                       labels: Mapping[int, Sequence[str]] | None = None) -> ChainComplex:
+                       boundaries: Mapping[int, Sequence[Mapping[int, int]]]) -> ChainComplex:
     """Validated constructor: shapes line up, indices in range, zero entries dropped."""
     clean_dims = {int(d): int(n) for d, n in dims.items() if n}
     clean_bnd: dict[int, tuple[dict[int, int], ...]] = {}
@@ -404,18 +414,11 @@ def make_chain_complex(dims: Mapping[int, int],
             converted.append(new)
         if any_entry:
             clean_bnd[d] = tuple(converted)
-    clean_labels = None
-    if labels is not None:
-        clean_labels = {}
-        for d, names in labels.items():
-            if clean_dims.get(d, 0) != len(names):
-                raise DimensionMismatch(f"degree {d}: label count mismatch")
-            clean_labels[d] = tuple(names)
-    return ChainComplex(clean_dims, clean_bnd, clean_labels)
+    return ChainComplex(clean_dims, clean_bnd)
 
 
 def empty_chain_complex() -> ChainComplex:
-    return ChainComplex({}, {}, None)
+    return ChainComplex({}, {})
 
 
 def check_boundaries(c: ChainComplex) -> None:
@@ -450,10 +453,7 @@ def augmented(c: ChainComplex) -> ChainComplex:
     n0 = c.dim(0)
     if n0:
         boundaries[0] = tuple({0: 1} for _ in range(n0))
-    labels = dict(c.labels) if c.labels else None
-    if labels is not None:
-        labels[-1] = ("[]",)
-    return ChainComplex(dims, boundaries, labels)
+    return ChainComplex(dims, boundaries)
 
 
 # -- homology -----------------------------------------------------------------
@@ -502,13 +502,6 @@ class HomologySummary:
 
     def shifted(self, k: int) -> "HomologySummary":
         return HomologySummary(tuple((d + k, b, c) for d, b, c in self.groups))
-
-    def direct_sum(self, other: "HomologySummary") -> "HomologySummary":
-        acc: dict[int, tuple[int, list[int]]] = {}
-        for d, b, chain in self.groups + other.groups:
-            betti, orders = acc.get(d, (0, []))
-            acc[d] = (betti + b, orders + list(chain))
-        return HomologySummary.from_map(acc)
 
     def betti_vector(self, lo: int = 0, hi: int | None = None) -> tuple[int, ...]:
         if hi is None:
@@ -635,12 +628,8 @@ def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
             offsets[(deg, p)] = dims.get(deg, 0)
             dims[deg] = dims.get(deg, 0) + c.dims[p] * d.dims[q]
     boundaries: dict[int, list[dict[int, int]]] = {}
-    both_labeled = c.labels is not None and d.labels is not None
-    labels: dict[int, list[str]] = {} if both_labeled else None
     for deg in sorted(dims):
         cols: list[dict[int, int]] = []
-        if labels is not None:
-            labels[deg] = []
         for p in sorted(c.dims):
             q = deg - p
             nq = d.dims.get(q)
@@ -662,11 +651,8 @@ def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
                         for r, val in d_cols[j].items():
                             col[base + i * nq_down + r] = sign * val
                     cols.append(col)
-                    if labels is not None:
-                        labels[deg].append(
-                            f"{c.labels[p][i]}*{d.labels[q][j]}")
         boundaries[deg] = cols
-    return make_chain_complex(dims, boundaries, labels)
+    return make_chain_complex(dims, boundaries)
 
 
 def tensor_many(factors: Sequence[ChainComplex]) -> ChainComplex:
@@ -679,11 +665,9 @@ def tensor_many(factors: Sequence[ChainComplex]) -> ChainComplex:
 
 
 def shift(c: ChainComplex, k: int) -> ChainComplex:
-    """Relabel degrees upward by k (homology shifts accordingly)."""
+    """Move degrees upward by k (homology shifts accordingly)."""
     return ChainComplex({d + k: n for d, n in c.dims.items()},
-                        {d + k: cols for d, cols in c.boundaries.items()},
-                        {d + k: names for d, names in c.labels.items()}
-                        if c.labels else None)
+                        {d + k: cols for d, cols in c.boundaries.items()})
 
 
 def algebraic_join(c: ChainComplex, d: ChainComplex) -> ChainComplex:
@@ -729,8 +713,8 @@ def quotient_complex(c: ChainComplex,
             hit = [i for i in col if i in low]
             if hit:
                 raise NotASubcomplex(
-                    f"discarded cell {c.label(deg, j)} has boundary in kept cell "
-                    f"{c.label(deg - 1, hit[0])}")
+                    f"discarded cell {j} of degree {deg} has boundary in kept "
+                    f"cell {hit[0]} of degree {deg - 1}")
     position = {deg: {i: a for a, i in enumerate(sel)} for deg, sel in kept.items()}
     dims = {deg: len(sel) for deg, sel in kept.items()}
     boundaries: dict[int, list[dict[int, int]]] = {}
@@ -745,11 +729,7 @@ def quotient_complex(c: ChainComplex,
             else:
                 new_cols.append({})
         boundaries[deg] = new_cols
-    labels = None
-    if c.labels is not None:
-        labels = {deg: [c.labels[deg][i] for i in sel]
-                  for deg, sel in kept.items() if deg in c.labels}
-    return make_chain_complex(dims, boundaries, labels)
+    return make_chain_complex(dims, boundaries)
 
 
 # -- Kunneth predictions (used as an independent oracle in tests) -------------

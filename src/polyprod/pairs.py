@@ -109,7 +109,6 @@ def pair_chain(pair: PairModel, *, a_only: bool = False,
     pos = {i: (d, p) for d, cells in by_degree.items() for p, i in enumerate(cells)}
     dims = {d: len(cells) for d, cells in by_degree.items()}
     boundaries = {}
-    labels = {}
     for d, cells in by_degree.items():
         cols = []
         for i in cells:
@@ -119,8 +118,7 @@ def pair_chain(pair: PairModel, *, a_only: bool = False,
                     col[pos[t][1]] = coeff
             cols.append(col)
         boundaries[d] = cols
-        labels[d] = [pair.cell_ids[i] for i in cells]
-    return make_chain_complex(dims, boundaries, labels)
+    return make_chain_complex(dims, boundaries)
 
 
 # -- disk/sphere and sphere pairs ----------------------------------------------

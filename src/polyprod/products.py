@@ -5,10 +5,13 @@ complexes: the basis is every tensor c_1 @ ... @ c_m whose support
 {i : c_i is an X-only cell} is a face of K.  Boundaries shrink support, and
 K is downward closed, so this span really is a subcomplex.
 
-The smash form Zhat kills every tensor with a basepoint coordinate; its
-homology is the reduced homology of the smash-image space.  The remaining
-functions compute the right-hand sides of the various additive
-decompositions of Z and Zhat so the two sides can be compared exactly.
+The smash form Zhat is built directly on the same tensor basis with every
+basepoint cell left out, so it is the summand of the stable splitting in
+its own right; its homology is the reduced homology of the smash-image
+space.  Both models come from one builder and carry only dims and
+boundaries.  The remaining functions compute the right-hand sides of the
+various additive decompositions of Z and Zhat so the two sides can be
+compared exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .homology import (
     direct_sum,
     homology,
     make_chain_complex,
-    quotient_complex,
     reduced_simplicial_homology,
     simplicial_chain_complex,
     tensor_many,
@@ -122,14 +124,17 @@ def _check_arity(k: SimplicialComplex, pairs: Sequence[PairModel]) -> tuple[Pair
     return pairs
 
 
-def _moment_angle_cells(k: SimplicialComplex, pairs: tuple[PairModel, ...],
-                        budget: int):
-    """Basis tuples of the Z(K;(X,A)) model, bucketed and ordered by degree.
+def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
+                   budget: int, smash: bool) -> ChainComplex:
+    """Chain complex of the Z(K;(X,A)) model, or of Zhat when smash is set.
 
-    Returns (by_degree, z) where by_degree[d] is the ordered list of basis
-    tuples in degree d and z is the assembled ChainComplex.
+    The basis is ordered by degree, then by cell tuple.  Zhat is the same
+    tensor basis with the basepoint left out of every coordinate's A-cells;
+    boundary entries that land on a basepoint coordinate are dropped.
     """
-    a_cells = [p.a_cells() for p in pairs]
+    drop = [p.basepoint if smash else -1 for p in pairs]
+    a_cells = [tuple(c for c in p.a_cells() if c != drop[i])
+               for i, p in enumerate(pairs)]
     x_cells = [p.x_only_cells() for p in pairs]
     needed = 0
     for face in k.faces:
@@ -141,7 +146,7 @@ def _moment_angle_cells(k: SimplicialComplex, pairs: tuple[PairModel, ...],
         raise BudgetExceeded(needed, budget)
 
     by_degree: dict[int, list[tuple[int, ...]]] = {}
-    for face in sorted(k.faces, key=face_sort_key):
+    for face in k.faces:
         ranges = [x_cells[i] if face >> i & 1 else a_cells[i]
                   for i in range(k.m)]
         for cell in iter_product(*ranges):
@@ -149,12 +154,9 @@ def _moment_angle_cells(k: SimplicialComplex, pairs: tuple[PairModel, ...],
             by_degree.setdefault(deg, []).append(cell)
     for cells in by_degree.values():
         cells.sort()
-    pos = {cell: (d, i)
-           for d, cells in by_degree.items() for i, cell in enumerate(cells)}
+    pos = {cell: i for cells in by_degree.values() for i, cell in enumerate(cells)}
 
-    dims = {d: len(cells) for d, cells in by_degree.items()}
     boundaries: dict[int, list[dict[int, int]]] = {}
-    labels: dict[int, list[str]] = {}
     for d, cells in by_degree.items():
         cols = []
         for cell in cells:
@@ -163,35 +165,28 @@ def _moment_angle_cells(k: SimplicialComplex, pairs: tuple[PairModel, ...],
             for i, ci in enumerate(cell):
                 sign = -1 if prefix % 2 else 1
                 for t, coeff in pairs[i].boundaries[ci]:
+                    if t == drop[i]:
+                        continue
                     # support shrinks, so the target tuple is always present
-                    row = pos[cell[:i] + (t,) + cell[i + 1:]][1]
+                    row = pos[cell[:i] + (t,) + cell[i + 1:]]
                     col[row] = col.get(row, 0) + sign * coeff
                 prefix += pairs[i].dims[ci]
             cols.append(col)
         boundaries[d] = cols
-        labels[d] = ["(" + ",".join(pairs[i].cell_ids[ci]
-                                    for i, ci in enumerate(cell)) + ")"
-                     for cell in cells]
-    return by_degree, make_chain_complex(dims, boundaries, labels)
+    dims = {d: len(cells) for d, cells in by_degree.items()}
+    return make_chain_complex(dims, boundaries)
 
 
 def moment_angle_chain(k: SimplicialComplex, pairs: Sequence[PairModel],
                        budget: int = DEFAULT_CELL_BUDGET) -> ChainComplex:
     """Chain model of Z(K;(X,A)); its homology is the unreduced homology of Z."""
-    pairs = _check_arity(k, pairs)
-    _, z = _moment_angle_cells(k, pairs, budget)
-    return z
+    return _product_chain(k, _check_arity(k, pairs), budget, smash=False)
 
 
 def smash_moment_angle_chain(k: SimplicialComplex, pairs: Sequence[PairModel],
                              budget: int = DEFAULT_CELL_BUDGET) -> ChainComplex:
-    """Quotient model of Zhat(K;(X,A)); its homology is H-tilde of the smash image."""
-    pairs = _check_arity(k, pairs)
-    by_degree, z = _moment_angle_cells(k, pairs, budget)
-    keep = {d: [i for i, cell in enumerate(cells)
-                if all(ci != pairs[j].basepoint for j, ci in enumerate(cell))]
-            for d, cells in by_degree.items()}
-    return quotient_complex(z, keep)
+    """Chain model of Zhat(K;(X,A)); its homology is H-tilde of the smash image."""
+    return _product_chain(k, _check_arity(k, pairs), budget, smash=True)
 
 
 # -- stable splitting over full subcomplexes -------------------------------------
@@ -283,7 +278,7 @@ def wedge_lemma_decomposition(k: SimplicialComplex, pairs: Sequence[PairModel],
     strictly containing sigma with the smash of (X_i for i in sigma, A_i
     otherwise).  Valid when every inclusion A_i -> X_i is null-homotopic;
     models carry that certificate structurally, and uncertified ones are
-    refused.  The direct sum is compared against the smash-quotient oracle.
+    refused.  The direct sum is compared against the smash model oracle.
     """
     pairs = _check_arity(k, pairs)
     for p in pairs:

@@ -1,9 +1,14 @@
 """Command-line surface: file formats, exit codes, output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyprod
 from polyprod.cli import main
 from polyprod.errors import InputError
 from polyprod.files import (
@@ -249,6 +254,23 @@ def test_toric_command_rejects_bad_matrix(capsys, square_file, tmp_path):
     assert code == 1
     payload = json.loads(out)
     assert any(d["kind"] == "face_not_unimodular" for d in payload["diagnostics"])
+
+
+def test_toric_command_with_a_huge_prime_entry_finishes(tmp_path):
+    two = tmp_path / "two.cx"
+    two.write_text("m 2\nface 1\nface 2\n")
+    big = tmp_path / "big.lam"
+    big.write_text("100000000000000000039\n1\n")
+    # a subprocess with a timeout turns a hang into a failure
+    src = str(Path(polyprod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyprod.cli", "toric", str(two), str(big)],
+        capture_output=True, text=True, timeout=2, env=env)
+    assert proc.returncode == 1
+    kinds = {d["kind"] for d in json.loads(proc.stdout)["diagnostics"]}
+    assert kinds == {"row_not_primitive", "face_not_unimodular"}
 
 
 def test_shifted_command(capsys, tmp_path, square_file):

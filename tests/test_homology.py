@@ -2,9 +2,14 @@
 independent oracles, classical spaces, Kunneth/tensor/join consistency."""
 
 import random
+import types
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from polyprod.complexes import SimplicialComplex, join_complex
 from polyprod.catalog import (
@@ -119,6 +124,8 @@ def test_invariant_factors_recombination():
     assert invariant_factors([4, 2, 2]) == (2, 2, 4)
     assert invariant_factors([1, 1, 5]) == (5,)
     assert invariant_factors([]) == ()
+    p = 100000000000000000039          # prime; no factoring may be needed
+    assert invariant_factors([p, 2 * p, 4]) == (2 * p, 4 * p)
 
 
 def test_invariant_factors_canonical_properties():
@@ -136,6 +143,29 @@ def test_invariant_factors_canonical_properties():
             prod_chain *= c
         assert prod == prod_chain
         assert invariant_factors(chain) == chain
+
+
+# orders built from a few shared factors, so the gcd refinement has work to do
+_shared_orders = st.lists(
+    st.sampled_from([2, 3, 4, 6, 9, 12, 25, 100000000000000000039]),
+    min_size=1, max_size=4).map(prod)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 10**6), _shared_orders), max_size=6))
+def test_invariant_factors_match_sympy_smith_form(orders):
+    if orders:
+        diagonal = sympy_smith_normal_form(Matrix.diag(*orders), domain=ZZ)
+        expected = tuple(abs(int(diagonal[i, i])) for i in range(len(orders)))
+    else:
+        expected = ()
+    assert invariant_factors(orders) == tuple(x for x in expected if x > 1)
+
+
+def test_homology_submodule_is_not_shadowed():
+    import polyprod.homology as module
+    assert isinstance(module, types.ModuleType)
+    assert module.homology is homology
 
 
 def test_smith_normal_form_known_values():
@@ -340,16 +370,16 @@ def test_shift_moves_degrees():
 def test_quotient_disk_by_boundary_sphere():
     for n in (0, 1, 2):
         full = pair_chain(pair_disk_sphere(n))
-        rel = quotient_complex(
-            full, lambda deg, i, _n=n: full.label(deg, i) == "e")
+        # the top cell e is the only cell of degree n + 1
+        rel = quotient_complex(full, lambda deg, i, _n=n: deg == _n + 1)
         assert homology(rel) == summary(**{f"d{n + 1}": (1, ())})
 
 
 def test_quotient_rejects_non_subcomplex_complement():
     full = pair_chain(pair_disk_sphere(1))
-    with pytest.raises(NotASubcomplex):
-        # dropping only the top cell leaves its boundary exposed
-        quotient_complex(full, lambda deg, i: full.label(deg, i) != "e")
+    # dropping only the top cell leaves its boundary exposed
+    with pytest.raises(NotASubcomplex, match="cell 0 of degree 2 .* cell 0 of degree 1"):
+        quotient_complex(full, lambda deg, i: deg != 2)
 
 
 def test_quotient_by_everything_is_empty():
@@ -365,11 +395,11 @@ def test_quotient_by_everything_is_empty():
 def test_summary_direct_sum_and_shift():
     a = summary(d1=(2, (2,)), d3=(1, ()))
     b = summary(d1=(1, (3,)), d2=(4, ()))
-    s = a.direct_sum(b)
+    s = direct_sum([a, b])
     assert s.betti(1) == 3
     assert s.torsion(1) == (6,)       # Z/2 + Z/3 recombined canonically
     assert s.betti(2) == 4
-    assert direct_sum([a, b]) == s
+    assert direct_sum([b, a]) == s
     assert a.shifted(2).betti(3) == 2
     assert a.shifted(2).torsion(3) == (2,)
 

