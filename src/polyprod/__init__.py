@@ -85,6 +85,7 @@ from .products import (
     contractible_A_series,
     contractible_X_summary,
     hochster_homology,
+    moment_angle_blocks,
     moment_angle_chain,
     poincare_polynomial,
     porter_decomposition,

@@ -16,13 +16,13 @@ from typing import Callable, Sequence
 from .complexes import SimplicialComplex, validate
 from .errors import InputError, PolyprodError
 from .files import load_characteristic, load_complex, parse_pair_spec
-from .homology import HomologySummary, homology
+from .homology import HomologySummary, direct_sum, homology
 from .products import (
     DEFAULT_CELL_BUDGET,
     SplitSummand,
     SplittingResult,
     hochster_homology,
-    moment_angle_chain,
+    moment_angle_blocks,
     poincare_polynomial,
     porter_decomposition,
     smash_moment_angle_chain,
@@ -145,14 +145,17 @@ def _cmd_homology(args) -> int:
     pairs = _resolve_pairs(args.pair, k.m)
     if args.smash:
         chain = smash_moment_angle_chain(k, pairs, args.budget)
-        summary = homology(chain)
+        cells, summary = chain.total_cells(), homology(chain)
     else:
-        chain = moment_angle_chain(k, pairs, args.budget)
-        summary = homology(chain, reduced=args.reduced)
+        # H(Z) block by block; block 0 is the basepoint cell, the Z in degree 0
+        blocks = moment_angle_blocks(k, pairs, args.budget)
+        cells = sum(c.total_cells() for c in blocks.values())
+        summary = direct_sum(homology(c) for mask, c in blocks.items()
+                             if mask or not args.reduced)
     payload = {
         "smash": bool(args.smash),
         "reduced": bool(args.reduced or args.smash),
-        "cells": chain.total_cells(),
+        "cells": cells,
         "homology": summary.to_entries(),
         "betti": list(summary.betti_vector(0)),
     }

@@ -5,13 +5,17 @@ complexes: the basis is every tensor c_1 @ ... @ c_m whose support
 {i : c_i is an X-only cell} is a face of K.  Boundaries shrink support, and
 K is downward closed, so this span really is a subcomplex.
 
-The smash form Zhat is built directly on the same tensor basis with every
-basepoint cell left out, so it is the summand of the stable splitting in
-its own right; its homology is the reduced homology of the smash-image
-space.  Both models come from one builder and carry only dims and
-boundaries.  The remaining functions compute the right-hand sides of the
-various additive decompositions of Z and Zhat so the two sides can be
-compared exactly.
+One builder gives the model in two bases.  The cellular basis is the
+oracle.  The split basis replaces each 0-cell u other than a basepoint *
+by u - *; there the complex is block-diagonal over the vertex subsets
+I = {i : c_i != *}, and block I is the smash model Zhat(K_I) -- the
+stable splitting, holding at chain level.  H(Z) is computed block by
+block, and the stable splitting's summands are the blocks, checked
+against the cellular model.  The smash model Zhat(K) alone is the block
+of all vertices, built with the basepoint cells left out; its homology is
+the reduced homology of the smash-image space.  The remaining functions
+compute the right-hand sides of the various additive decompositions of Z
+and Zhat so the two sides can be compared exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 from math import comb
+from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 from .complexes import (
@@ -42,6 +47,7 @@ from .homology import (
     HomologySummary,
     algebraic_join,
     direct_sum,
+    empty_chain_complex,
     homology,
     make_chain_complex,
     reduced_simplicial_homology,
@@ -125,16 +131,24 @@ def _check_arity(k: SimplicialComplex, pairs: Sequence[PairModel]) -> tuple[Pair
 
 
 def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
-                   budget: int, smash: bool) -> ChainComplex:
-    """Chain complex of the Z(K;(X,A)) model, or of Zhat when smash is set.
+                   budget: int, basis: str) -> dict[int, ChainComplex]:
+    """Chain complex of the Z(K;(X,A)) model as blocks keyed by vertex masks.
 
-    The basis is ordered by degree, then by cell tuple.  Zhat is the same
-    tensor basis with the basepoint left out of every coordinate's A-cells;
-    boundary entries that land on a basepoint coordinate are dropped.
+    basis "cellular" is the tensor product of the pairs' cellular bases,
+    returned as one block under the full mask.  basis "split" replaces each
+    0-cell u other than a coordinate's basepoint * by u - *.  validate_pair
+    makes the vertices of every 1-cell boundary sum to zero, so in the new
+    basis a boundary only loses its entries on *.  The complex is then the
+    direct sum of the blocks I = {i : c_i != *}, and block I is
+    Zhat(K_I;(X,A)_I); block 0 is the single cell (*, ..., *).  basis
+    "smash" is block [m] alone: * is left out of every coordinate's A-cells.
+
+    The budget counts the cells to be enumerated, before any is built.
+    Within a block the basis is ordered by degree, then by cell tuple.
     """
-    drop = [p.basepoint if smash else -1 for p in pairs]
-    a_cells = [tuple(c for c in p.a_cells() if c != drop[i])
-               for i, p in enumerate(pairs)]
+    drop = [-1 if basis == "cellular" else p.basepoint for p in pairs]
+    a_cells = [tuple(c for c in p.a_cells()
+                     if basis != "smash" or c != p.basepoint) for p in pairs]
     x_cells = [p.x_only_cells() for p in pairs]
     needed = 0
     for face in k.faces:
@@ -145,63 +159,83 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
     if needed > budget:
         raise BudgetExceeded(needed, budget)
 
-    by_degree: dict[int, list[tuple[int, ...]]] = {}
+    # one sum per cell gives its degree (high bits) and its block (low m bits)
+    weight = [[(p.dims[c] << k.m) | (0 if c == drop[i] else 1 << i)
+               for c in range(p.n_cells())] for i, p in enumerate(pairs)]
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for face in k.faces:
         ranges = [x_cells[i] if face >> i & 1 else a_cells[i]
                   for i in range(k.m)]
         for cell in iter_product(*ranges):
-            deg = sum(pairs[i].dims[ci] for i, ci in enumerate(cell))
-            by_degree.setdefault(deg, []).append(cell)
-    for cells in by_degree.values():
-        cells.sort()
-    pos = {cell: i for cells in by_degree.values() for i, cell in enumerate(cells)}
+            groups.setdefault(sum(map(getitem, weight, cell)), []).append(cell)
+    low = (1 << k.m) - 1
+    by_block: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+    for key in sorted(groups):
+        by_block.setdefault(key & low, {})[key >> k.m] = groups.pop(key)
 
-    boundaries: dict[int, list[dict[int, int]]] = {}
-    for d, cells in by_degree.items():
-        cols = []
-        for cell in cells:
-            col: dict[int, int] = {}
-            prefix = 0
-            for i, ci in enumerate(cell):
-                sign = -1 if prefix % 2 else 1
-                for t, coeff in pairs[i].boundaries[ci]:
-                    if t == drop[i]:
-                        continue
-                    # support shrinks, so the target tuple is always present
-                    row = pos[cell[:i] + (t,) + cell[i + 1:]]
-                    col[row] = col.get(row, 0) + sign * coeff
-                prefix += pairs[i].dims[ci]
-            cols.append(col)
-        boundaries[d] = cols
-    dims = {d: len(cells) for d, cells in by_degree.items()}
-    return make_chain_complex(dims, boundaries)
+    # per coordinate and cell: the boundary left after dropping the
+    # basepoint, and whether the cell flips the sign of later coordinates
+    terms = [[tuple((t, c) for t, c in p.boundaries[ci] if t != drop[i])
+              for ci in range(p.n_cells())] for i, p in enumerate(pairs)]
+    odd = [[d & 1 for d in p.dims] for p in pairs]
+    blocks: dict[int, ChainComplex] = {}
+    # one block at a time, so only its cells are indexed and only its
+    # columns exist twice while make_chain_complex copies them
+    for block in sorted(by_block):
+        by_degree = by_block.pop(block)
+        for cells in by_degree.values():
+            cells.sort()
+        pos = {cell: i for cells in by_degree.values() for i, cell in enumerate(cells)}
+        boundaries: dict[int, list[dict[int, int]]] = {}
+        for d, cells in by_degree.items():
+            cols = []
+            for cell in cells:
+                col: dict[int, int] = {}
+                sign = 1
+                for i, ci in enumerate(cell):
+                    for t, coeff in terms[i][ci]:
+                        # support shrinks and the block is kept, so the
+                        # target is a cell of this block one degree down
+                        row = pos[cell[:i] + (t,) + cell[i + 1:]]
+                        col[row] = col.get(row, 0) + sign * coeff
+                    if odd[i][ci]:
+                        sign = -sign
+                cols.append(col)
+            boundaries[d] = cols
+        blocks[block] = make_chain_complex(
+            {d: len(cells) for d, cells in by_degree.items()}, boundaries)
+    return blocks
 
 
 def moment_angle_chain(k: SimplicialComplex, pairs: Sequence[PairModel],
                        budget: int = DEFAULT_CELL_BUDGET) -> ChainComplex:
-    """Chain model of Z(K;(X,A)); its homology is the unreduced homology of Z."""
-    return _product_chain(k, _check_arity(k, pairs), budget, smash=False)
+    """Chain model of Z(K;(X,A)) in the cellular basis; its homology is the
+    unreduced homology of Z.  This is the oracle the decompositions are
+    checked against."""
+    (chain,) = _product_chain(k, _check_arity(k, pairs), budget, "cellular").values()
+    return chain
 
 
 def smash_moment_angle_chain(k: SimplicialComplex, pairs: Sequence[PairModel],
                              budget: int = DEFAULT_CELL_BUDGET) -> ChainComplex:
     """Chain model of Zhat(K;(X,A)); its homology is H-tilde of the smash image."""
-    return _product_chain(k, _check_arity(k, pairs), budget, smash=True)
+    blocks = _product_chain(k, _check_arity(k, pairs), budget, "smash")
+    return blocks.get((1 << k.m) - 1, empty_chain_complex())
+
+
+def moment_angle_blocks(k: SimplicialComplex, pairs: Sequence[PairModel],
+                        budget: int = DEFAULT_CELL_BUDGET) -> dict[int, ChainComplex]:
+    """Z(K;(X,A)) in the split basis, as {vertex mask I: block I}.
+
+    Block I is Zhat(K_I;(X,A)_I), so H(Z) is the direct sum of the blocks'
+    homology, and H-tilde(Z) leaves out block 0 (one cell in degree 0).
+    Empty blocks are omitted.  The budget counts the cells of the whole
+    model, as for moment_angle_chain.
+    """
+    return _product_chain(k, _check_arity(k, pairs), budget, "split")
 
 
 # -- stable splitting over full subcomplexes -------------------------------------
-
-
-def _restricted(pairs: tuple[PairModel, ...], vertices: tuple[int, ...]):
-    return tuple(pairs[v - 1] for v in vertices)
-
-
-def _splitting_task(args) -> tuple[tuple[int, ...], HomologySummary]:
-    k, pairs, mask, budget = args
-    verts = vertices_from_mask(mask)
-    sub = k.full_subcomplex(verts)
-    h = homology(smash_moment_angle_chain(sub, _restricted(pairs, verts), budget))
-    return verts, h
 
 
 def stable_splitting(k: SimplicialComplex, pairs: Sequence[PairModel],
@@ -210,17 +244,21 @@ def stable_splitting(k: SimplicialComplex, pairs: Sequence[PairModel],
                      job_map: MapFn | None = None) -> SplittingResult:
     """Reduced homology of Z against the direct sum over nonempty subsets I
     of the reduced homology of Zhat(K_I); verified is the exact comparison.
+
+    The summands are the blocks of moment_angle_blocks; the oracle is the
+    cellular model, eliminated as one matrix per degree.
     """
     pairs = _check_arity(k, pairs)
     if k.m > subset_bound:
         raise SearchBoundExceeded(
             f"splitting enumerates 2^{k.m} subsets; bound is m <= {subset_bound}")
+    blocks = moment_angle_blocks(k, pairs, budget)
     masks = sorted(range(1, 1 << k.m), key=face_sort_key)
-    tasks = [(k, pairs, mask, budget) for mask in masks]
-    results = list((job_map or map)(_splitting_task, tasks))
+    empty = empty_chain_complex()
+    results = (job_map or map)(homology, [blocks.get(mask, empty) for mask in masks])
     summands = tuple(
         SplitSummand(verts, f"Zhat(K_{_subset_label(verts)})", h)
-        for verts, h in results)
+        for verts, h in zip(map(vertices_from_mask, masks), results))
     total = direct_sum(s.homology for s in summands)
     oracle = homology(moment_angle_chain(k, pairs, budget), reduced=True)
     return SplittingResult(summands, total, oracle, total == oracle)

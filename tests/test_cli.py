@@ -10,6 +10,7 @@ import pytest
 
 import polyprod
 from polyprod.cli import main
+from polyprod.complexes import vertices_from_mask
 from polyprod.errors import InputError
 from polyprod.files import (
     load_complex,
@@ -19,6 +20,9 @@ from polyprod.files import (
     parse_complex_text,
     parse_pair_spec,
 )
+from polyprod.homology import HomologySummary, direct_sum
+from polyprod.pairs import simplicial_space
+from polyprod.products import contractible_X_summary
 
 SQUARE_TEXT = """\
 # the 4-cycle
@@ -137,6 +141,40 @@ def test_homology_smash_and_reduced_flags(capsys, square_file):
                        "--pair", "disk-sphere:1", "--smash")
     assert code == 0
     assert json.loads(out)["betti"] == [0, 0, 0, 0, 0, 0, 1]
+
+
+def test_homology_budget_below_the_cell_count_exits_one(capsys, square_file):
+    # the 4-cycle with (D2,S1) has 64 cells; the budget counts all of them
+    # before any block is built
+    code, out, err = run(capsys, "homology", square_file,
+                         "--pair", "disk-sphere:1", "--budget", "63")
+    assert (code, out) == (1, "")
+    assert err == "error: construction needs 64 cells, budget is 63\n"
+    code, out, _ = run(capsys, "homology", square_file,
+                       "--pair", "disk-sphere:1", "--budget", "64", "--reduced")
+    assert code == 0 and json.loads(out)["cells"] == 64
+
+
+def test_homology_of_a_cone_pair_matches_the_join_model(capsys, tmp_path,
+                                                       square_file):
+    # 14,400 cells, most of them in the block of the full vertex set
+    tri = tmp_path / "tri.cx"
+    tri.write_text("m 3\nface 1 2\nface 2 3\nface 1 3\n")
+    code, out, _ = run(capsys, "homology", square_file,
+                       "--pair", f"cone:{tri}:1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cells"] == 14400
+    # H-tilde(Zhat(K_I;(CA,A))) is the join of |K_I| with the smash of the
+    # A's, which builds no product cells
+    k = load_complex(square_file)
+    a = simplicial_space(load_complex(tri), 1)
+    expected = direct_sum(
+        [HomologySummary(((0, 1, ()),))]
+        + [contractible_X_summary(k.full_subcomplex(vertices_from_mask(mask)),
+                                  [a] * mask.bit_count())
+           for mask in range(1, 1 << k.m)])
+    assert payload["homology"] == expected.to_entries()
 
 
 def test_validate_command_exit_codes(capsys, square_file, tmp_path):

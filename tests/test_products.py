@@ -9,6 +9,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polyprod.catalog import (
     all_complexes_on,
@@ -22,7 +23,7 @@ from polyprod.catalog import (
     standard_pair_library,
     star_complex,
 )
-from polyprod.complexes import SimplicialComplex, skeleton
+from polyprod.complexes import SimplicialComplex, skeleton, vertices_from_mask
 from polyprod.errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -32,8 +33,14 @@ from polyprod.errors import (
     SeriesError,
     TorsionInShiftedSubcomplex,
 )
-from polyprod.homology import homology, quotient_complex, reduced_simplicial_homology
+from polyprod.homology import (
+    direct_sum,
+    homology,
+    quotient_complex,
+    reduced_simplicial_homology,
+)
 from polyprod.pairs import (
+    pair_cone,
     pair_disk_sphere,
     pair_space_basepoint,
     rp2_pair,
@@ -47,6 +54,7 @@ from polyprod.products import (
     contractible_A_series,
     contractible_X_summary,
     hochster_homology,
+    moment_angle_blocks,
     moment_angle_chain,
     poincare_polynomial,
     porter_decomposition,
@@ -188,6 +196,88 @@ def test_chain_model_is_deterministic():
     a = moment_angle_chain(pentagon(), [ds(1)] * 5)
     b = moment_angle_chain(pentagon(), [ds(1)] * 5)
     assert a.dims == b.dims and a.boundaries == b.boundaries
+
+
+# ---------------------------------------------------------------------------
+# the split basis: one block per vertex subset
+# ---------------------------------------------------------------------------
+
+def _block_homology(blocks, reduced=False):
+    return direct_sum(homology(c) for mask, c in blocks.items()
+                      if mask or not reduced)
+
+
+def _assert_blocks_split_the_oracle(k, pairs):
+    """Block I is Zhat(K_I) built on its own, the cells add up to the
+    cellular model's, and the homology of the blocks is the oracle's."""
+    blocks = moment_angle_blocks(k, pairs)
+    assert set(blocks) <= set(range(1 << k.m))
+    assert all(c.total_cells() for c in blocks.values())
+    assert blocks[0].dims == {0: 1} and blocks[0].boundaries == {}
+    for mask in range(1, 1 << k.m):
+        verts = vertices_from_mask(mask)
+        zhat = smash_moment_angle_chain(k.full_subcomplex(verts),
+                                        [pairs[v - 1] for v in verts])
+        block = blocks.get(mask)
+        if block is None:
+            assert zhat.total_cells() == 0
+        else:
+            _assert_same_complex(block, zhat)
+    z = moment_angle_chain(k, pairs)
+    assert sum(c.total_cells() for c in blocks.values()) == z.total_cells()
+    assert _block_homology(blocks) == homology(z)
+    assert _block_homology(blocks, reduced=True) == homology(z, reduced=True)
+
+
+def test_blocks_are_smash_models_exhaustive():
+    checked = 0
+    for m in (1, 2, 3, 4):
+        for k in all_complexes_on(m):
+            for pair in standard_pair_library():
+                _assert_blocks_split_the_oracle(k, [pair] * m)
+                checked += 1
+    assert checked == (2 + 4 + 9 + 29) * 4
+
+
+def test_blocks_are_smash_models_mixed_pairs():
+    # (D1,S0) has an A 0-cell besides the basepoint, the cone over the
+    # triangle's boundary has several, and the based pair is based at cell 1
+    mixed = standard_pair_library() + (pair_cone(simplex_boundary(3), 1),
+                                       pair_space_basepoint(square(), 2))
+    assert sum(mixed[4].dims[c] == 0 for c in mixed[4].a_cells()) == 3
+    assert mixed[-1].basepoint != 0
+    for m in (1, 2, 3):
+        for k in all_complexes_on(m):
+            for start in range(len(mixed)):
+                pairs = [mixed[(start + i) % len(mixed)] for i in range(m)]
+                _assert_blocks_split_the_oracle(k, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 3), min_size=6, max_size=6))
+def test_blocks_match_the_oracle_on_random_complexes(m, seed, picks):
+    k = random_complex(random.Random(seed), m)
+    library = standard_pair_library()
+    pairs = [library[i] for i in picks[:m]]
+    try:
+        blocks = moment_angle_blocks(k, pairs, budget=6000)
+    except BudgetExceeded:
+        assume(False)
+    z = moment_angle_chain(k, pairs)
+    assert sum(c.total_cells() for c in blocks.values()) == z.total_cells()
+    assert _block_homology(blocks) == homology(z)
+    assert _block_homology(blocks, reduced=True) == homology(z, reduced=True)
+
+
+def test_blocks_budget_counts_the_whole_model():
+    pairs = [ds(1)] * 4
+    cells = moment_angle_chain(square(), pairs).total_cells()
+    with pytest.raises(BudgetExceeded) as err:
+        moment_angle_blocks(square(), pairs, budget=cells - 1)
+    assert err.value.needed == cells
+    blocks = moment_angle_blocks(square(), pairs, budget=cells)
+    assert sum(c.total_cells() for c in blocks.values()) == cells
 
 
 # ---------------------------------------------------------------------------
