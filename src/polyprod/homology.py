@@ -5,6 +5,11 @@ complexes with a first-class degree -1 (augmentation), tensor products with
 Koszul signs, algebraic joins, quotient complexes, and finitely generated
 abelian groups presented as (betti rank, invariant-factor chain).
 
+Elimination has one sparse phase (unit pivots on a min-fill heap) and one
+dense kernel, _diagonalize.  Homology and the plain Smith form run the
+kernel on the dense remainder; the witnessed Smith form runs it on the
+augmented matrix [A | I ; I | 0] and reads U and V off the identity blocks.
+
 A chain complex is only its dims and boundaries: a basis cell has no name
 beyond its degree and its index in that degree.
 Boundary matrices are stored sparse and column-major: boundaries[d] is a
@@ -121,7 +126,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
     Without transforms only the invariant factors are computed (fast sparse
     elimination).  With transforms, unimodular U (rows x rows) and
     V (cols x cols) are returned such that U * matrix * V is diagonal with
-    the invariant factors on the diagonal.
+    the invariant factors on the diagonal.  Both modes finish in the same
+    dense kernel, _diagonalize: with transforms it runs on the augmented
+    matrix [A | I ; I | 0], whose identity blocks record U and V.
     """
     rows = [list(map(int, r)) for r in matrix]
     n_rows = len(rows)
@@ -138,7 +145,28 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
         chain = invariant_factors(orders)
         diag = (1,) * (len(orders) - len(chain)) + chain
         return SmithNormalForm(diag, len(orders))
-    return _snf_with_transforms(rows, n_rows, n_cols)
+    m = [row + [int(i == k) for k in range(n_rows)] for i, row in enumerate(rows)]
+    m += [[int(i == j) for j in range(n_cols)] + [0] * n_rows
+          for i in range(n_cols)]
+    t = len(_diagonalize(m, n_rows, n_cols))
+    # enforce the divisibility chain d_i | d_j with 2x2 unimodular blocks
+    for i in range(t):
+        for j in range(i + 1, t):
+            a, b = m[i][i], m[j][j]
+            if b % a == 0:
+                continue
+            for row in m:
+                row[i] += row[j]
+            g, s, tt = _xgcd(a, b)
+            row_i, row_j = m[i], m[j]
+            m[i] = [s * x + tt * y for x, y in zip(row_i, row_j)]
+            m[j] = [(-b // g) * x + (a // g) * y for x, y in zip(row_i, row_j)]
+            q = m[i][j] // g
+            for row in m:
+                row[j] -= q * row[i]
+    return SmithNormalForm(tuple(m[i][i] for i in range(t)), t,
+                           tuple(tuple(r[n_cols:]) for r in m[:n_rows]),
+                           tuple(tuple(r[:n_cols]) for r in m[n_rows:]))
 
 
 def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
@@ -210,14 +238,18 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
         for a, i in enumerate(live_rows):
             for j, val in row_data[i].items():
                 dense[a][col_pos[j]] = val
-        orders.extend(_dense_diagonal_orders(dense))
+        orders.extend(_diagonalize(dense, len(live_rows), len(live_cols)))
     return orders
 
 
-def _dense_diagonal_orders(m: list[list[int]]) -> list[int]:
-    """Diagonalize a small dense matrix; returns positive diagonal values."""
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
+def _diagonalize(m: list[list[int]], n_rows: int, n_cols: int) -> list[int]:
+    """Diagonalize the top-left n_rows x n_cols block of m in place.
+
+    Returns the positive diagonal values in pivot order.  Pivots are sought
+    in that block only, but row operations act on whole rows and column
+    operations on every row of m, so blocks bordering it record the
+    transforms (see smith_normal_form).
+    """
     orders = []
     t = 0
     while True:
@@ -267,95 +299,6 @@ def _dense_diagonal_orders(m: list[list[int]]) -> list[int]:
         orders.append(m[t][t])
         t += 1
 
-
-def _snf_with_transforms(m: list[list[int]], n_rows: int, n_cols: int) -> SmithNormalForm:
-    u = [[1 if i == j else 0 for j in range(n_rows)] for i in range(n_rows)]
-    v = [[1 if i == j else 0 for j in range(n_cols)] for i in range(n_cols)]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while True:
-        best = None
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                val = m[i][j]
-                if val and (best is None or abs(val) < best[0]):
-                    best = (abs(val), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        m[t], m[bi] = m[bi], m[t]
-        u[t], u[bi] = u[bi], u[t]
-        if bj != t:
-            for row in m:
-                row[t], row[bj] = row[bj], row[t]
-            for row in v:
-                row[t], row[bj] = row[bj], row[t]
-        if m[t][t] < 0:
-            negate_row(t)
-        while True:
-            pivot = m[t][t]
-            moved = False
-            for i in range(t + 1, n_rows):
-                if m[i][t]:
-                    q = m[i][t] // pivot
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                        u[i] = [a - q * b for a, b in zip(u[i], u[t])]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        u[t], u[i] = u[i], u[t]
-                        moved = True
-                        break
-            if moved:
-                continue
-            for j in range(t + 1, n_cols):
-                if m[t][j]:
-                    q = m[t][j] // pivot
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                        moved = True
-                        break
-            if not moved:
-                break
-        t += 1
-    # enforce the divisibility chain d_i | d_j with 2x2 unimodular blocks
-    for i in range(t):
-        for j in range(i + 1, t):
-            a, b = m[i][i], m[j][j]
-            if b % a == 0:
-                continue
-            for r in range(n_rows):
-                m[r][i] += m[r][j]
-            for r in range(n_cols):
-                v[r][i] += v[r][j]
-            g, s, tt = _xgcd(a, b)
-            row_i, row_j = m[i][:], m[j][:]
-            m[i] = [s * x + tt * y for x, y in zip(row_i, row_j)]
-            m[j] = [(-b // g) * x + (a // g) * y for x, y in zip(row_i, row_j)]
-            urow_i, urow_j = u[i][:], u[j][:]
-            u[i] = [s * x + tt * y for x, y in zip(urow_i, urow_j)]
-            u[j] = [(-b // g) * x + (a // g) * y for x, y in zip(urow_i, urow_j)]
-            q = m[i][j] // g
-            for r in range(n_rows):
-                m[r][j] -= q * m[r][i]
-            for r in range(n_cols):
-                v[r][j] -= q * v[r][i]
-    diag = tuple(m[i][i] for i in range(t))
-    return SmithNormalForm(diag, t,
-                           tuple(tuple(r) for r in u),
-                           tuple(tuple(r) for r in v))
 
 
 # -- chain complexes ----------------------------------------------------------

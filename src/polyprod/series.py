@@ -14,8 +14,6 @@ from typing import Sequence
 
 from .errors import SeriesError
 
-DEFAULT_TRUNCATION = 32
-
 
 # -- integer polynomial helpers ------------------------------------------------
 
@@ -113,11 +111,9 @@ class RationalSeries:
 
     num: tuple[int, ...]
     den: tuple[int, ...]
-    trunc: int = DEFAULT_TRUNCATION
 
     @classmethod
-    def make(cls, num: Sequence[int], den: Sequence[int] = (1,),
-             trunc: int = DEFAULT_TRUNCATION) -> "RationalSeries":
+    def make(cls, num: Sequence[int], den: Sequence[int] = (1,)) -> "RationalSeries":
         num = poly_trim(num)
         den = poly_trim(den)
         if not den:
@@ -125,7 +121,7 @@ class RationalSeries:
         if den[0] == 0:
             raise SeriesError("denominator must have a nonzero constant term")
         if not num:
-            return cls((), (1,), trunc)
+            return cls((), (1,))
         g = gcd(_content(num), _content(den))
         if g > 1:
             num = tuple(x // g for x in num)
@@ -133,12 +129,11 @@ class RationalSeries:
         if den[0] < 0:
             num = poly_neg(num)
             den = poly_neg(den)
-        return cls(num, den, trunc)
+        return cls(num, den)
 
     @classmethod
-    def from_polynomial(cls, coeffs: Sequence[int],
-                        trunc: int = DEFAULT_TRUNCATION) -> "RationalSeries":
-        return cls.make(coeffs, (1,), trunc)
+    def from_polynomial(cls, coeffs: Sequence[int]) -> "RationalSeries":
+        return cls.make(coeffs)
 
     @classmethod
     def zero(cls) -> "RationalSeries":
@@ -157,21 +152,19 @@ class RationalSeries:
     def __add__(self, other: "RationalSeries") -> "RationalSeries":
         return RationalSeries.make(
             poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den),
-            max(self.trunc, other.trunc))
+            poly_mul(self.den, other.den))
 
     def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        return self + RationalSeries.make(poly_neg(other.num), other.den, other.trunc)
+        return self + RationalSeries.make(poly_neg(other.num), other.den)
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         return RationalSeries.make(
-            poly_mul(self.num, other.num), poly_mul(self.den, other.den),
-            max(self.trunc, other.trunc))
+            poly_mul(self.num, other.num), poly_mul(self.den, other.den))
 
     def __pow__(self, k: int) -> "RationalSeries":
         if k < 0:
             raise SeriesError("negative powers are not supported")
-        out = RationalSeries.make((1,), (1,), self.trunc)
+        out = RationalSeries.one()
         for _ in range(k):
             out = out * self
         return out
@@ -210,10 +203,8 @@ class RationalSeries:
             raise SeriesError("series is not a polynomial")
         return quot
 
-    def expansion(self, order: int | None = None) -> tuple[int, ...]:
+    def expansion(self, order: int) -> tuple[int, ...]:
         """Coefficients through degree `order` (inclusive), exact integers."""
-        if order is None:
-            order = self.trunc
         if order < 0:
             raise SeriesError("expansion order must be >= 0")
         if not self.num:
@@ -233,9 +224,6 @@ class RationalSeries:
 
     def coefficient(self, degree: int) -> int:
         return self.expansion(degree)[degree]
-
-    def with_truncation(self, trunc: int) -> "RationalSeries":
-        return RationalSeries(self.num, self.den, trunc)
 
     def __str__(self) -> str:
         if self.den == (1,):

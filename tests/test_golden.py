@@ -3,7 +3,8 @@
 cases.json lists each case's argv (paths relative to tests/golden/) and its
 exit code; <name>.out holds its stdout.  The outputs were recorded with the
 cellular model as the only route to H(Z), so this gate also pins the
-block-by-block route to the earlier bytes.
+block-by-block route to the earlier bytes.  The toric cases print the kernel
+basis, the rows U[rank:] of the witnessed Smith normal form, so they pin U.
 """
 
 import json
@@ -23,7 +24,7 @@ def test_golden_set_covers_every_mode():
     for fmt in ("--json", "--tsv"):
         for cmd in (("homology", False, False), ("homology", True, False),
                     ("homology", False, True), ("split", False, False),
-                    ("wedge-lemma", False, False)):
+                    ("wedge-lemma", False, False), ("toric", False, False)):
             assert cmd + (fmt,) in commands
     specs = {a for c in CASES for a in c["argv"] if ":" in a}
     assert {"disk-sphere:0", "disk-sphere:1"} <= specs

@@ -209,6 +209,51 @@ def test_smith_fast_path_agrees_with_witnessed_path():
             smith_normal_form(a, with_transforms=True).diagonal
 
 
+def test_smith_transforms_on_degenerate_shapes():
+    # U stays rows x rows and V cols x cols when either is 0 or 1
+    cases = {
+        (): ((), (), ()),
+        ((),): ((), ((1,),), ()),
+        ((0, 0), (0, 0)): ((), ((1, 0), (0, 1)), ((1, 0), (0, 1))),
+        ((3, 6, 9),): ((3,), ((1,),), ((1, -2, -3), (0, 1, 0), (0, 0, 1))),
+        ((4,), (6,)): ((2,), ((-1, 1), (3, -2)), ((1,),)),
+    }
+    for a, (diagonal, u, v) in cases.items():
+        snf = smith_normal_form(a, with_transforms=True)
+        assert (snf.diagonal, snf.rank, snf.u, snf.v) == \
+            (diagonal, len(diagonal), u, v), a
+
+
+_BIG_PRIME = 100000000000000000039
+_entry_kinds = (
+    st.integers(-9, 9),
+    st.integers(-10**15, 10**15),
+    st.integers(-3, 3).map(lambda k: k * _BIG_PRIME),
+)
+
+
+@st.composite
+def _dense_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = draw(st.sampled_from(_entry_kinds))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dense_matrices())
+def test_smith_normal_form_matches_sympy_in_both_modes(a):
+    expected = sympy_smith_normal_form(Matrix(a), domain=ZZ)
+    factors = sorted(abs(int(expected[i, i]))
+                     for i in range(min(len(a), len(a[0]))) if expected[i, i])
+    witnessed = smith_normal_form(a, with_transforms=True)
+    assert smith_normal_form(a).diagonal == witnessed.diagonal == tuple(factors)
+    d = mat_mul(mat_mul([list(r) for r in witnessed.u], a),
+                [list(r) for r in witnessed.v])
+    assert d == [[witnessed.diagonal[i] if i == j and i < witnessed.rank else 0
+                  for j in range(len(a[0]))] for i in range(len(a))]
+    assert abs(det(witnessed.u)) == abs(det(witnessed.v)) == 1
+
+
 # ---------------------------------------------------------------------------
 # chain complexes and homology of classical spaces
 # ---------------------------------------------------------------------------

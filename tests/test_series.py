@@ -102,15 +102,6 @@ def test_series_power_matches_repeated_product():
     assert (s ** 4).expansion(6) == (0, 0, 0, 0, 1, 4, 10)
 
 
-def test_truncation_changes_default_window_only():
-    s = RationalSeries.make((1,), (1, -1), trunc=4)
-    t = s.with_truncation(10)
-    assert s == t                       # equality is exact, not windowed
-    assert len(s.expansion()) == 5      # trunc degree is inclusive
-    assert len(t.expansion()) == 11
-    assert s.expansion(7) == t.expansion(7)
-
-
 def test_series_str_is_readable():
     s = RationalSeries.make((1, 0, -1), (1, -2, 1))
     text = str(s)
