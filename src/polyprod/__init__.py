@@ -48,8 +48,6 @@ from .homology import (
     direct_sum,
     empty_chain_complex,
     invariant_factors,
-    kunneth_join,
-    kunneth_product,
     make_chain_complex,
     quotient_complex,
     reduced_simplicial_homology,
@@ -89,7 +87,6 @@ from .products import (
     moment_angle_chain,
     poincare_polynomial,
     porter_decomposition,
-    porter_decomposition_printed_variant,
     smash_moment_angle_chain,
     sphere_wedge_report,
     stable_splitting,

@@ -5,10 +5,13 @@ complexes with a first-class degree -1 (augmentation), tensor products with
 Koszul signs, algebraic joins, quotient complexes, and finitely generated
 abelian groups presented as (betti rank, invariant-factor chain).
 
-Elimination has one sparse phase (unit pivots on a min-fill heap) and one
-dense kernel, _diagonalize.  Homology and the plain Smith form run the
-kernel on the dense remainder; the witnessed Smith form runs it on the
-augmented matrix [A | I ; I | 0] and reads U and V off the identity blocks.
+Elimination has one sparse phase and one dense kernel, _diagonalize.  The
+sparse phase pivots on units and on every entry that divides its whole row
+and column (a Smith pivot), in order of size and then of Markowitz fill.
+Homology and the plain Smith form run the kernel on what is left, a
+remainder in which no entry divides its row and column; the witnessed Smith
+form runs it on the augmented matrix [A | I ; I | 0] and reads U and V off
+the identity blocks.
 
 A chain complex is only its dims and boundaries: a basis cell has no name
 beyond its degree and its index in that degree.
@@ -173,9 +176,17 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
     """Diagonal orders of the matrix under unimodular row/column operations.
 
     Values come back unsorted and without divisibility structure; feed them
-    to invariant_factors for the canonical chain.  Unit pivots are eliminated
-    first on a min-fill heap; the (typically tiny) remainder with no +-1
-    entries is finished densely.
+    to invariant_factors for the canonical chain.  The sparse phase pivots
+    in (|p|, Markowitz fill) order: units on a min-fill heap as they appear
+    and, each time no unit is left, every entry p with |p| equal to the gcd
+    of its row and of its column.  Such a p divides its row and its column,
+    so the matrix is equivalent to (p) + A' and p is one diagonal order.
+    A queued candidate q whose value has not changed still qualifies when
+    it is popped: each pivot p subtracts (a/p) * (pivot row) from every
+    row with an entry a in the pivot column.  In q's row q divides a, and
+    in q's column q divides the pivot row's entry, so every change to q's
+    row or column is a multiple of q.  Only a remainder in which no entry
+    qualifies is finished densely, by _diagonalize.
     """
     row_data: dict[int, dict[int, int]] = {}
     col_data: dict[int, dict[int, int]] = {}
@@ -183,28 +194,46 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
         for i, val in col.items():
             row_data.setdefault(i, {})[j] = val
             col_data.setdefault(j, {})[i] = val
-    heap: list[tuple[int, int, int]] = []
+    units: list[tuple[int, int, int]] = []
     for i, row in row_data.items():
         for j, val in row.items():
             if val == 1 or val == -1:
-                fill = (len(row) - 1) * (len(col_data[j]) - 1)
-                heap.append((fill, i, j))
-    heapq.heapify(heap)
-    unit_count = 0
-    while heap:
-        _, pi, pj = heapq.heappop(heap)
+                units.append(((len(row) - 1) * (len(col_data[j]) - 1), i, j))
+    heapq.heapify(units)
+    smith: list[tuple[int, int, int, int]] = []
+    orders: list[int] = []
+    while True:
+        if units:
+            _, pi, pj = heapq.heappop(units)
+            p = 1
+        elif smith:
+            p, _, pi, pj = heapq.heappop(smith)
+        else:
+            # no unit is left: queue every entry dividing its row and column
+            col_gcd = {j: gcd(*col.values()) for j, col in col_data.items()}
+            for i, row in row_data.items():
+                g = gcd(*row.values())
+                for j, val in row.items():
+                    if (val == g or val == -g) and col_gcd[j] == g:
+                        smith.append(
+                            (g, (len(row) - 1) * (len(col_data[j]) - 1), i, j))
+            if not smith:
+                break
+            heapq.heapify(smith)
+            continue
         prow = row_data.get(pi)
         if prow is None:
             continue
         pval = prow.get(pj, 0)
-        if pval != 1 and pval != -1:
+        if pval != p and pval != -p:
             continue
-        # clear column pj with row operations (pval is a unit, so exact)
+        pcol = col_data[pj]
+        # clear column pj with row operations (pval divides, so exact)
         pivot_items = list(prow.items())
-        for i2 in list(col_data[pj].keys()):
+        for i2 in list(pcol.keys()):
             if i2 == pi:
                 continue
-            factor = col_data[pj][i2] * pval
+            factor = pcol[i2] // pval
             target = row_data[i2]
             for j2, val in pivot_items:
                 new = target.get(j2, 0) - factor * val
@@ -213,7 +242,7 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
                     col_data[j2][i2] = new
                     if new == 1 or new == -1:
                         heapq.heappush(
-                            heap,
+                            units,
                             ((len(target) - 1) * (len(col_data[j2]) - 1), i2, j2))
                 elif j2 in target:
                     del target[j2]
@@ -228,8 +257,7 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
             if not cd:
                 del col_data[j2]
         del row_data[pi]
-        unit_count += 1
-    orders = [1] * unit_count
+        orders.append(p)
     if row_data:
         live_rows = sorted(row_data)
         live_cols = sorted({j for row in row_data.values() for j in row})
@@ -673,31 +701,3 @@ def quotient_complex(c: ChainComplex,
                 new_cols.append({})
         boundaries[deg] = new_cols
     return make_chain_complex(dims, boundaries)
-
-
-# -- Kunneth predictions (used as an independent oracle in tests) -------------
-
-def kunneth_product(a: HomologySummary, b: HomologySummary) -> HomologySummary:
-    """H(X x Y) from H(X), H(Y): free parts at i+j, Tor terms at i+j+1."""
-    acc: dict[int, tuple[int, list[int]]] = {}
-
-    def add(deg: int, betti: int, orders: Iterable[int]):
-        cur_b, cur_t = acc.get(deg, (0, []))
-        acc[deg] = (cur_b + betti, cur_t + list(orders))
-
-    for d1, b1, t1 in a.groups:
-        for d2, b2, t2 in b.groups:
-            tensor_tor = ([x] * b2 for x in t1)
-            orders = [x for sub in tensor_tor for x in sub]
-            orders += [y for y in t2 for _ in range(b1)]
-            orders += [gcd(x, y) for x in t1 for y in t2]
-            add(d1 + d2, b1 * b2, orders)
-            tor = [gcd(x, y) for x in t1 for y in t2]
-            if tor:
-                add(d1 + d2 + 1, 0, tor)
-    return HomologySummary.from_map(acc)
-
-
-def kunneth_join(a: HomologySummary, b: HomologySummary) -> HomologySummary:
-    """Reduced homology of a join: the product prediction shifted up by 1."""
-    return kunneth_product(a, b).shifted(1)

@@ -402,8 +402,7 @@ def porter_decomposition(m: int, q: int,
 
     Every subset I with |I| > q+1 contributes a sphere of dimension
     q + 1 + sum of the y_i over I, with multiplicity C(|I|-1, q+1).  This is
-    the oracle-confirmed bookkeeping; see porter_decomposition_printed_variant
-    for the rejected alternative.
+    the oracle-confirmed bookkeeping.
     """
     dims = tuple(int(d) for d in y_dims)
     if len(dims) != m:
@@ -419,30 +418,6 @@ def porter_decomposition(m: int, q: int,
             continue
         dim = q + 1 + sum(dims[i] for i in range(m) if mask >> i & 1)
         counts[dim] = counts.get(dim, 0) + comb(size - 1, q + 1)
-    return SphereList.from_counts(counts)
-
-
-def porter_decomposition_printed_variant(m: int, q: int,
-                                         y_dims: Sequence[int]) -> SphereList:
-    """Alternative bookkeeping with suspension |I| + 1 and multiplicity
-    C(|I|+1, q+1) over the same subsets.
-
-    Rejected: it disagrees with the brute-force chain oracle (already at
-    m = 3, q = 1, where the correct answer is a single S^5).  Kept so the
-    test suite can pin down exactly where it fails.
-    """
-    dims = tuple(int(d) for d in y_dims)
-    if len(dims) != m:
-        raise ArityMismatch(f"{len(dims)} sphere dimensions for m = {m}")
-    if not 0 <= q <= m - 2:
-        raise InputError(f"skeleton degree q = {q} outside 0..{m - 2}")
-    counts: dict[int, int] = {}
-    for mask in range(1, 1 << m):
-        size = mask.bit_count()
-        if size <= q + 1:
-            continue
-        dim = size + 1 + sum(dims[i] for i in range(m) if mask >> i & 1)
-        counts[dim] = counts.get(dim, 0) + comb(size + 1, q + 1)
     return SphereList.from_counts(counts)
 
 

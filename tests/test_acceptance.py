@@ -43,7 +43,6 @@ from polyprod.products import (
     moment_angle_chain,
     poincare_polynomial,
     porter_decomposition,
-    porter_decomposition_printed_variant,
     smash_moment_angle_chain,
     sphere_wedge_report,
     stable_splitting,
@@ -58,6 +57,8 @@ from polyprod.toric import (
     toric_betti,
     validate_characteristic,
 )
+
+from oracles import porter_decomposition_printed_variant
 
 
 def ds(n):

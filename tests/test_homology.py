@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
+import polyprod.homology as homology_module
 from polyprod.complexes import SimplicialComplex, join_complex
 from polyprod.catalog import (
     disjoint_points,
@@ -37,8 +38,6 @@ from polyprod.homology import (
     empty_chain_complex,
     homology,
     invariant_factors,
-    kunneth_join,
-    kunneth_product,
     make_chain_complex,
     quotient_complex,
     reduced_simplicial_homology,
@@ -50,6 +49,8 @@ from polyprod.homology import (
     trivial_summary,
 )
 from polyprod.pairs import circle_space, pair_chain, pair_disk_sphere, rp2_space
+
+from oracles import kunneth_join, kunneth_product
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +253,55 @@ def test_smith_normal_form_matches_sympy_in_both_modes(a):
     assert d == [[witnessed.diagonal[i] if i == j and i < witnessed.rank else 0
                   for j in range(len(a[0]))] for i in range(len(a))]
     assert abs(det(witnessed.u)) == abs(det(witnessed.v)) == 1
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """At least half zeros; either non-unit entries with some +-1, or a +-1
+    matrix with rows and columns scaled by 2 or 3 (Smith pivots appear)."""
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    filled = draw(st.lists(st.sampled_from(cells), max_size=len(cells) // 2,
+                           unique=True))
+    a = [[0] * cols for _ in range(rows)]
+    if draw(st.booleans()):
+        for i, j in filled:
+            a[i][j] = draw(st.sampled_from((2, 3, 4, 6, 9, 2, 3, 4, 6, 9, 1))) \
+                * draw(st.sampled_from((1, -1)))
+    else:
+        row_scale = draw(st.lists(st.sampled_from((1, 1, 2, 3)),
+                                  min_size=rows, max_size=rows))
+        col_scale = draw(st.lists(st.sampled_from((1, 1, 2, 3)),
+                                  min_size=cols, max_size=cols))
+        for i, j in filled:
+            a[i][j] = draw(st.sampled_from((1, -1))) * row_scale[i] * col_scale[j]
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices())
+def test_sparse_smith_normal_form_matches_sympy(a):
+    expected = sympy_smith_normal_form(Matrix(a), domain=ZZ)
+    factors = sorted(abs(int(expected[i, i]))
+                     for i in range(min(len(a), len(a[0]))) if expected[i, i])
+    snf = smith_normal_form(a)
+    assert snf.diagonal == tuple(factors)
+    assert snf.rank == len(factors)
+
+
+def test_smith_pivots_finish_without_the_dense_kernel(monkeypatch):
+    calls = []
+    monkeypatch.setattr(homology_module, "_diagonalize",
+                        lambda m, r, c: calls.append((r, c)) or [])
+    # each matrix has an entry dividing its row and column at every step
+    for a, diagonal in (([[2, 0], [0, 3]], (1, 6)),
+                        ([[2, 4], [6, 8]], (2, 4)),
+                        ([[6, 0, 0], [0, 4, 2], [0, 2, 0]], (2, 2, 6))):
+        assert smith_normal_form(a).diagonal == diagonal, a
+    assert calls == []
+    # no entry of [2 3] divides its row, so it goes to the dense kernel
+    smith_normal_form([[2, 3]])
+    assert calls == [(1, 2)]
 
 
 # ---------------------------------------------------------------------------

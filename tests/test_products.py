@@ -58,13 +58,14 @@ from polyprod.products import (
     moment_angle_chain,
     poincare_polynomial,
     porter_decomposition,
-    porter_decomposition_printed_variant,
     smash_moment_angle_chain,
     sphere_wedge_report,
     stable_splitting,
     wedge_lemma_decomposition,
 )
 from polyprod.series import RationalSeries
+
+from oracles import porter_decomposition_printed_variant
 
 
 def betti_map(summary):
