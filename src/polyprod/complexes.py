@@ -1,9 +1,10 @@
-"""Finite simplicial complexes on labeled vertices, stored as bitmask face sets.
+"""Finite simplicial complexes on vertices 1..m, stored as bitmask face sets.
 
 Vertices are 1-based integers 1..m.  A face is an int bitmask: bit i-1 set
 means vertex i belongs to the face, so the empty face is 0 and masks compare
 deterministically.  All face listings in this package are ordered by
-(cardinality, numeric mask value).
+(cardinality, numeric mask value).  A complex is its face set: maximal
+faces, links and subcomplexes are computed from it when asked for.
 
 Operations that enumerate all 2^m subsets (skeleta, minimal non-faces,
 subset sums) are capped at m <= MAX_ENUMERATION_VERTICES.
@@ -86,16 +87,12 @@ class Diagnostic:
 class SimplicialComplex:
     """An abstract simplicial complex: a downward-closed set of face masks.
 
-    `faces` always contains the empty face 0.  `vertex_labels` keeps the
-    original names of the vertices when the complex was produced by
-    relabelling (full subcomplexes, order complexes); for a freshly built
-    complex it is simply (1, ..., m).
+    `faces` always contains the empty face 0.  Equality and hashing are
+    those of (m, faces); nothing else is stored.
     """
 
     m: int
     faces: frozenset[int]
-    maximal_faces: tuple[int, ...]
-    vertex_labels: tuple[int, ...]
 
     # construction ------------------------------------------------------
 
@@ -104,9 +101,9 @@ class SimplicialComplex:
                            maximal: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Downward closure of the given faces on vertex set {1..m}.
 
-        Dominated and duplicate input faces are dropped from the stored
-        maximal list.  m = 0 is rejected; use from_faces((0,)) for the
-        empty-complex-with-no-vertices edge case.
+        The input faces need not be maximal or distinct.  m = 0 is
+        rejected; use from_faces(0, (0,)) for the empty complex with no
+        vertices.
         """
         if m < 1:
             raise InputError("from_maximal_faces needs m >= 1")
@@ -116,13 +113,10 @@ class SimplicialComplex:
         faces = {0}
         for mask in input_masks:
             faces.update(submasks(mask))
-        antichain = _maximal_of(faces)
-        return cls(m=m, faces=frozenset(faces), maximal_faces=antichain,
-                   vertex_labels=tuple(range(1, m + 1)))
+        return cls(m=m, faces=frozenset(faces))
 
     @classmethod
-    def from_faces(cls, m: int, faces: Iterable[int],
-                   vertex_labels: Sequence[int] | None = None) -> "SimplicialComplex":
+    def from_faces(cls, m: int, faces: Iterable[int]) -> "SimplicialComplex":
         """Wrap an explicit face-mask set without forcing closure.
 
         The empty face is always added.  Closure is NOT checked here; run
@@ -132,10 +126,7 @@ class SimplicialComplex:
         for mask in fs:
             if mask >> m:
                 raise InputError(f"face mask {mask:#b} uses vertices beyond m={m}")
-        labels = tuple(vertex_labels) if vertex_labels is not None else tuple(range(1, m + 1))
-        if len(labels) != m:
-            raise InputError("vertex_labels length must equal m")
-        return cls(m=m, faces=fs, maximal_faces=_maximal_of(fs), vertex_labels=labels)
+        return cls(m=m, faces=fs)
 
     # basic queries -----------------------------------------------------
 
@@ -149,14 +140,10 @@ class SimplicialComplex:
     def faces_sorted(self) -> tuple[int, ...]:
         return sorted_faces(self.faces)
 
-    def faces_of_cardinality(self, k: int) -> tuple[int, ...]:
-        return tuple(sorted(mask for mask in self.faces if mask.bit_count() == k))
-
-    def used_vertices(self) -> tuple[int, ...]:
-        used = 0
-        for mask in self.maximal_faces:
-            used |= mask
-        return vertices_from_mask(used)
+    @property
+    def maximal_faces(self) -> tuple[int, ...]:
+        """The faces contained in no other face, sorted."""
+        return _maximal_of(self.faces)
 
     def face_tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(vertices_from_mask(mask) for mask in self.faces_sorted())
@@ -189,10 +176,7 @@ class SimplicialComplex:
     # subcomplexes ------------------------------------------------------
 
     def full_subcomplex(self, subset: Iterable[int]) -> "SimplicialComplex":
-        """K_I = { sigma /\\ I }, re-labeled 1..|I| preserving vertex order.
-
-        Original vertex names survive in vertex_labels.
-        """
+        """K_I = { sigma /\\ I }, re-labeled 1..|I| preserving vertex order."""
         sel = sorted(set(subset))
         sel_mask = mask_from_vertices(sel, self.m)
         positions = {v: i for i, v in enumerate(sel)}
@@ -200,15 +184,14 @@ class SimplicialComplex:
         for mask in self.faces:
             inter = mask & sel_mask
             new_faces.add(_compress_mask(inter, positions))
-        labels = tuple(self.vertex_labels[v - 1] for v in sel)
-        return SimplicialComplex.from_faces(len(sel), new_faces, labels)
+        return SimplicialComplex.from_faces(len(sel), new_faces)
 
     def skeleton(self, q: int) -> "SimplicialComplex":
         """Faces of cardinality <= q+1.  q = -1 gives the {empty} complex."""
         if q < -1 or q > self.dim():
             raise InputError(f"skeleton degree {q} outside -1..{self.dim()}")
         keep = frozenset(mask for mask in self.faces if mask.bit_count() <= q + 1)
-        return SimplicialComplex.from_faces(self.m, keep, self.vertex_labels)
+        return SimplicialComplex.from_faces(self.m, keep)
 
     def minimal_non_faces(self) -> tuple[int, ...]:
         """Subsets not in K all of whose proper subsets are in K, sorted."""
@@ -223,30 +206,17 @@ class SimplicialComplex:
                 out.append(mask)
         return sorted_faces(out)
 
-    def order_complex_below(self, sigma: Iterable[int]) -> "SimplicialComplex":
-        """Order complex of the poset of faces strictly containing sigma.
+    def link(self, sigma: Iterable[int]) -> "SimplicialComplex":
+        """lk(sigma) = { tau in K : tau /\\ sigma = 0, tau | sigma in K }.
 
-        Vertices of the result are those faces (ordered by (size, mask) and
-        re-labeled 1..N, with the face masks kept as vertex_labels); faces of
-        the result are the chains in the strict containment order.
+        It stays on the same m vertices.  The link of the empty face is K
+        itself, and the link of a maximal face is the {empty} complex.
         """
         smask = mask_from_vertices(sigma, self.m)
         if smask not in self.faces:
             raise FaceNotInComplex(vertices_from_mask(smask))
-        above = sorted_faces(t for t in self.faces if t != smask and t & smask == smask)
-        n = len(above)
-        if n == 0:
-            return SimplicialComplex.from_faces(0, (0,), ())
-        succ = [[j for j in range(n) if above[i] != above[j]
-                 and above[i] & above[j] == above[i]] for i in range(n)]
-        chains = [0]
-        stack = [(i, 1 << i) for i in range(n - 1, -1, -1)]
-        while stack:
-            i, chain = stack.pop()
-            chains.append(chain)
-            for j in succ[i]:
-                stack.append((j, chain | 1 << j))
-        return SimplicialComplex.from_faces(n, chains, above)
+        return SimplicialComplex.from_faces(
+            self.m, (t ^ smask for t in self.faces if t & smask == smask))
 
     # shiftedness -------------------------------------------------------
 
@@ -296,7 +266,7 @@ class SimplicialComplex:
         if sorted(p) != list(range(1, self.m + 1)):
             raise InputError("perm must be a permutation of 1..m")
         faces = frozenset(_relabel_mask(mask, p) for mask in self.faces)
-        return SimplicialComplex.from_faces(self.m, faces, self.vertex_labels)
+        return SimplicialComplex.from_faces(self.m, faces)
 
 
 @dataclass(frozen=True)
@@ -335,12 +305,11 @@ def join_complex(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComp
     for a in k1.faces:
         for b in k2.faces:
             faces.add(a | (b << k1.m))
-    labels = k1.vertex_labels + tuple(k1.m + v for v in range(1, k2.m + 1))
-    return SimplicialComplex.from_faces(k1.m + k2.m, faces, labels)
+    return SimplicialComplex.from_faces(k1.m + k2.m, faces)
 
 
 def validate(k: SimplicialComplex, strict: bool = False) -> list[Diagnostic]:
-    """Check closure, mask ranges, maximal-face consistency; strict adds ghosts."""
+    """Check the empty face, closure and mask ranges; strict adds ghosts."""
     out = []
     if 0 not in k.faces:
         out.append(Diagnostic("missing_empty_face", "face set lacks the empty face"))
@@ -356,9 +325,6 @@ def validate(k: SimplicialComplex, strict: bool = False) -> list[Diagnostic]:
                 out.append(Diagnostic("not_downward_closed",
                                       f"missing subset {missing} of face {vertices_from_mask(mask)}",
                                       face=missing))
-    if _maximal_of(k.faces) != k.maximal_faces:
-        out.append(Diagnostic("maximal_faces_stale",
-                              "stored maximal_faces do not match the face set"))
     if strict:
         used = 0
         for mask in k.faces:

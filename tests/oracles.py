@@ -1,14 +1,21 @@
 """Independent oracles used only by the tests.
 
 Kunneth predictions of product and join homology, the rejected Porter
-bookkeeping the tests pin down, and homology dimensions over F_p from a
-rank mod p that never leaves the field.
+bookkeeping the tests pin down, homology dimensions over F_p from a rank
+mod p that never leaves the field, and the order complex of the faces
+above a face, which the link replaces in the wedge lemma.
 """
 
 from math import comb, gcd
 from typing import Iterable, Sequence
 
-from polyprod.errors import ArityMismatch, InputError
+from polyprod.complexes import (
+    SimplicialComplex,
+    mask_from_vertices,
+    sorted_faces,
+    vertices_from_mask,
+)
+from polyprod.errors import ArityMismatch, FaceNotInComplex, InputError
 from polyprod.homology import ChainComplex, HomologySummary
 from polyprod.products import SphereList
 
@@ -115,3 +122,31 @@ def universal_coefficients(h: HomologySummary, p: int) -> dict[int, int]:
         dims[d] = dims.get(d, 0) + betti + t
         dims[d + 1] = dims.get(d + 1, 0) + t
     return {d: n for d, n in dims.items() if n}
+
+
+# -- order complexes ----------------------------------------------------------
+
+def order_complex_below(k: SimplicialComplex,
+                        sigma: Iterable[int]) -> SimplicialComplex:
+    """Order complex of the poset of faces of k strictly containing sigma.
+
+    Vertices of the result are those faces, ordered by (size, mask) and
+    re-labeled 1..N; faces of the result are the chains in the strict
+    containment order.  Every chain is enumerated, so the size is
+    exponential; it is the barycentric subdivision of the link of sigma.
+    """
+    smask = mask_from_vertices(sigma, k.m)
+    if smask not in k.faces:
+        raise FaceNotInComplex(vertices_from_mask(smask))
+    above = sorted_faces(t for t in k.faces if t != smask and t & smask == smask)
+    n = len(above)
+    succ = [[j for j in range(n) if above[i] != above[j]
+             and above[i] & above[j] == above[i]] for i in range(n)]
+    chains = [0]
+    stack = [(i, 1 << i) for i in range(n - 1, -1, -1)]
+    while stack:
+        i, chain = stack.pop()
+        chains.append(chain)
+        for j in succ[i]:
+            stack.append((j, chain | 1 << j))
+    return SimplicialComplex.from_faces(n, chains)

@@ -311,6 +311,24 @@ def test_toric_command_with_a_huge_prime_entry_finishes(tmp_path):
     assert kinds == {"row_not_primitive", "face_not_unimodular"}
 
 
+def test_wedge_lemma_on_a_seven_vertex_sphere_finishes(tmp_path):
+    # the boundary of the 6-simplex: its barycentric subdivision has 47,293
+    # faces, so the left factors must come from links, not order complexes
+    sphere = tmp_path / "sphere.cx"
+    sphere.write_text("m 7\n" + "".join(
+        "face " + " ".join(str(v) for v in range(1, 8) if v != skip) + "\n"
+        for skip in range(1, 8)))
+    src = str(Path(polyprod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyprod.cli", "wedge-lemma", str(sphere),
+         "--pair", "disk-sphere:1"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["verdict"] == "VERIFIED"
+
+
 def test_shifted_command(capsys, tmp_path, square_file):
     star = tmp_path / "star.cx"
     star.write_text("m 3\nface 1 2\nface 1 3\n")

@@ -34,6 +34,9 @@ from polyprod.errors import (
     NotDownwardClosed,
     SearchBoundExceeded,
 )
+from polyprod.homology import reduced_simplicial_homology
+
+from oracles import order_complex_below
 
 
 def test_mask_roundtrip():
@@ -92,7 +95,6 @@ def test_full_subcomplex_relabels_and_keeps_names():
     sub = k.full_subcomplex((1, 3))
     assert sub.m == 2
     assert sub.face_tuples() == ((), (1,), (2,))       # two points, no edge
-    assert sub.vertex_labels == (1, 3)
     edge = k.full_subcomplex((3, 4))
     assert edge.has_face((1, 2))
 
@@ -114,29 +116,59 @@ def test_minimal_non_faces_of_boundary_is_full_set():
 def test_order_complex_below_vertex_of_square():
     # edges {1,2} and {1,4} strictly contain vertex 1 and are incomparable,
     # so the order complex is two isolated points
-    oc = square().order_complex_below((1,))
+    oc = order_complex_below(square(), (1,))
     assert oc.m == 2
     assert oc.f_vector() == (2,)
 
 
 def test_order_complex_below_empty_face_is_barycentric_subdivision():
-    from polyprod.homology import reduced_simplicial_homology
-
     k = square()
-    sd = k.order_complex_below(())
+    sd = order_complex_below(k, ())
     assert sd.f_vector() == (8, 8)     # 4 vertices + 4 edges, one edge per incidence
     assert reduced_simplicial_homology(sd) == reduced_simplicial_homology(k)
 
 
 def test_order_complex_below_maximal_face_is_empty_complex():
-    oc = square().order_complex_below((1, 2))
+    oc = order_complex_below(square(), (1, 2))
     assert oc.m == 0
     assert oc.face_tuples() == ((),)
 
 
 def test_order_complex_requires_a_face():
     with pytest.raises(FaceNotInComplex):
-        square().order_complex_below((1, 3))
+        order_complex_below(square(), (1, 3))
+
+
+def test_link_of_a_vertex_and_of_the_empty_face():
+    k = square()
+    assert k.link((1,)).face_tuples() == ((), (2,), (4,))
+    assert k.link((1,)).m == 4
+    assert k.link(()) == k
+    assert k.link((1, 2)).face_tuples() == ((),)
+    filled = SimplicialComplex.from_maximal_faces(3, [(1, 2, 3)])
+    assert filled.link((3,)) == SimplicialComplex.from_maximal_faces(3, [(1, 2)])
+
+
+def test_link_requires_a_face():
+    with pytest.raises(FaceNotInComplex):
+        square().link((1, 3))
+    with pytest.raises(FaceNotInComplex):
+        simplex_boundary(4).link((1, 2, 3, 4))
+
+
+def test_link_has_the_homology_of_the_order_complex_above_every_face():
+    # the order complex of the faces strictly above sigma is the barycentric
+    # subdivision of lk(sigma); checked exhaustively up to isomorphism
+    cases = 0
+    for m in range(1, 6):
+        for k in all_complexes_on(m):
+            for sigma in k.faces_sorted():
+                verts = vertices_from_mask(sigma)
+                assert reduced_simplicial_homology(k.link(verts)) == \
+                    reduced_simplicial_homology(order_complex_below(k, verts)), \
+                    (k.face_tuples(), verts)
+                cases += 1
+    assert cases == 3653
 
 
 def test_star_complex_is_shifted_under_identity():
@@ -177,8 +209,6 @@ def test_shifted_search_bound():
 
 
 def test_join_of_two_point_pairs_is_a_cycle():
-    from polyprod.homology import reduced_simplicial_homology
-
     j = join_complex(disjoint_points(2), disjoint_points(2))
     assert j.m == 4
     assert j.f_vector() == (4, 4)
@@ -201,12 +231,9 @@ def test_validate_flags_ghost_vertex_only_in_strict_mode():
 
 
 def test_validate_detects_hand_built_closure_gap():
-    k = SimplicialComplex.from_maximal_faces(2, [(1, 2)])
     broken = object.__new__(SimplicialComplex)
     object.__setattr__(broken, "m", 2)
     object.__setattr__(broken, "faces", frozenset({0, 0b11}))
-    object.__setattr__(broken, "maximal_faces", (0b11,))
-    object.__setattr__(broken, "vertex_labels", k.vertex_labels)
     kinds = {d.kind for d in validate(broken)}
     assert "not_downward_closed" in kinds
     with pytest.raises(NotDownwardClosed):
