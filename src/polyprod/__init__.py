@@ -42,20 +42,17 @@ from .homology import (
     ChainComplex,
     HomologySummary,
     SmithNormalForm,
-    algebraic_join,
     augmented,
     check_boundaries,
     direct_sum,
     empty_chain_complex,
     invariant_factors,
+    kunneth_product,
     make_chain_complex,
     quotient_complex,
     reduced_simplicial_homology,
-    shift,
     simplicial_chain_complex,
     smith_normal_form,
-    tensor,
-    tensor_many,
     trivial_summary,
 )
 from .pairs import (

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from multiprocessing import Pool
 from typing import Callable, Sequence
@@ -109,9 +110,17 @@ def _emit_splitting(args, result: SplittingResult) -> int:
     return EXIT_OK if result.verified else EXIT_MISMATCH
 
 
+def _job_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _with_job_map(jobs: int, fn: Callable):
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             return fn(pool.map)
     return fn(None)
 
@@ -335,8 +344,9 @@ def build_parser() -> _Parser:
                            help="disk-sphere:N | cone:FILE:V | based:FILE:V "
                                 "(one spec broadcasts to all vertices)")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for per-subset computations")
+            p.add_argument("--jobs", type=_job_count, default=1,
+                           help="worker processes for per-subset computations "
+                                "(at most one per CPU)")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_CELL_BUDGET,
                            help="maximum tensor-basis cells")

@@ -1,9 +1,10 @@
 """Exact integer homological algebra.
 
 Smith normal form over Z (Python ints, so arithmetic never wraps), chain
-complexes with a first-class degree -1 (augmentation), tensor products with
-Koszul signs, algebraic joins, quotient complexes, and finitely generated
-abelian groups presented as (betti rank, invariant-factor chain).
+complexes with a first-class degree -1 (augmentation), quotient complexes,
+finitely generated abelian groups presented as (betti rank, invariant-factor
+chain), and the Kunneth formula for the homology of a tensor product of free
+complexes from the homology of its factors.
 
 Elimination has one sparse phase and one dense kernel, _diagonalize.  The
 sparse phase pivots on units and on every entry that divides its whole row
@@ -514,6 +515,28 @@ def direct_sum(summaries: Iterable[HomologySummary]) -> HomologySummary:
     return HomologySummary.from_map(acc)
 
 
+def kunneth_product(a: HomologySummary, b: HomologySummary) -> HomologySummary:
+    """H(C @ D) of free complexes C, D from H(C), H(D) by the Kunneth formula:
+    free parts and Z/gcd tensor terms at i+j, Tor terms at i+j+1."""
+    acc: dict[int, tuple[int, list[int]]] = {}
+
+    def add(deg: int, betti: int, orders: Iterable[int]):
+        cur_b, cur_t = acc.get(deg, (0, []))
+        acc[deg] = (cur_b + betti, cur_t + list(orders))
+
+    for d1, b1, t1 in a.groups:
+        for d2, b2, t2 in b.groups:
+            tensor_tor = ([x] * b2 for x in t1)
+            orders = [x for sub in tensor_tor for x in sub]
+            orders += [y for y in t2 for _ in range(b1)]
+            orders += [gcd(x, y) for x in t1 for y in t2]
+            add(d1 + d2, b1 * b2, orders)
+            tor = [gcd(x, y) for x in t1 for y in t2]
+            if tor:
+                add(d1 + d2 + 1, 0, tor)
+    return HomologySummary.from_map(acc)
+
+
 def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
     """Integral homology of a chain complex, with torsion.
 
@@ -583,74 +606,6 @@ def reduced_simplicial_homology(k: SimplicialComplex) -> HomologySummary:
 
 
 # -- constructions ------------------------------------------------------------
-
-def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
-    """Tensor product with the Koszul sign: del(x@y) = del x@y + (-1)^|x| x@del y.
-
-    Basis at each degree is ordered by (left degree, left index, right index).
-    """
-    if not c.dims or not d.dims:
-        return empty_chain_complex()
-    offsets: dict[tuple[int, int], int] = {}
-    dims: dict[int, int] = {}
-    for p in sorted(c.dims):
-        for q in sorted(d.dims):
-            deg = p + q
-            offsets[(deg, p)] = dims.get(deg, 0)
-            dims[deg] = dims.get(deg, 0) + c.dims[p] * d.dims[q]
-    boundaries: dict[int, list[dict[int, int]]] = {}
-    for deg in sorted(dims):
-        cols: list[dict[int, int]] = []
-        for p in sorted(c.dims):
-            q = deg - p
-            nq = d.dims.get(q)
-            if nq is None:
-                continue
-            c_cols = c.boundary(p) if p - 1 in c.dims else None
-            d_cols = d.boundary(q) if q - 1 in d.dims else None
-            sign = -1 if p % 2 else 1
-            nq_down = d.dims.get(q - 1, 0)
-            for i in range(c.dims[p]):
-                for j in range(nq):
-                    col: dict[int, int] = {}
-                    if c_cols is not None:
-                        base = offsets[(deg - 1, p - 1)]
-                        for r, val in c_cols[i].items():
-                            col[base + r * nq + j] = val
-                    if d_cols is not None:
-                        base = offsets[(deg - 1, p)]
-                        for r, val in d_cols[j].items():
-                            col[base + i * nq_down + r] = sign * val
-                    cols.append(col)
-        boundaries[deg] = cols
-    return make_chain_complex(dims, boundaries)
-
-
-def tensor_many(factors: Sequence[ChainComplex]) -> ChainComplex:
-    if not factors:
-        raise InputError("tensor_many needs at least one factor")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = tensor(acc, f)
-    return acc
-
-
-def shift(c: ChainComplex, k: int) -> ChainComplex:
-    """Move degrees upward by k (homology shifts accordingly)."""
-    return ChainComplex({d + k: n for d, n in c.dims.items()},
-                        {d + k: cols for d, cols in c.boundaries.items()})
-
-
-def algebraic_join(c: ChainComplex, d: ChainComplex) -> ChainComplex:
-    """Join model: tensor of reduced/augmented complexes, degrees shifted by 1.
-
-    Feed augmented complexes (with a degree -1 cell) for honest, possibly
-    empty spaces, and basepoint-deleted models for pointed spaces.  Joining
-    with the one-cell {empty} complex returns the other factor unchanged up
-    to relabeling.
-    """
-    return shift(tensor(c, d), 1)
-
 
 def quotient_complex(c: ChainComplex,
                      keep: Mapping[int, Iterable[int]] | Callable[[int, int], bool]) -> ChainComplex:

@@ -45,14 +45,13 @@ from .errors import (
 from .homology import (
     ChainComplex,
     HomologySummary,
-    algebraic_join,
     direct_sum,
     empty_chain_complex,
     homology,
+    kunneth_product,
     make_chain_complex,
     reduced_simplicial_homology,
     simplicial_chain_complex,
-    tensor_many,
 )
 from .pairs import PairModel, pair_chain
 from .series import RationalSeries
@@ -317,9 +316,12 @@ def wedge_lemma_decomposition(k: SimplicialComplex, pairs: Sequence[PairModel],
     otherwise).  That order complex is the barycentric subdivision of the
     link of sigma (of K itself when sigma is empty), so the link computes
     the factor with far fewer cells; the descriptions keep the paper's name.
+    Each summand's homology comes by Kunneth from the reduced homology of
+    the link and of each X_i or A_i, so no join is built.
     Valid when every inclusion A_i -> X_i is null-homotopic; models carry
     that certificate structurally, and uncertified ones are refused.  The
-    direct sum is compared against the smash model oracle.
+    direct sum is compared against the smash model oracle, which is built
+    as a chain complex.
     """
     pairs = _check_arity(k, pairs)
     for p in pairs:
@@ -341,11 +343,20 @@ def wedge_lemma_decomposition(k: SimplicialComplex, pairs: Sequence[PairModel],
 def _join_with_smash(left: SimplicialComplex, pairs: Sequence[PairModel],
                      x_mask: int) -> HomologySummary:
     """H-tilde of |left| joined with the smash of X_i for i in x_mask and A_i
-    otherwise, basepoints left out."""
-    factors = [pair_chain(p, a_only=not x_mask >> i & 1, drop_basepoint=True)
-               for i, p in enumerate(pairs)]
-    return homology(algebraic_join(simplicial_chain_complex(left, reduced=True),
-                                   tensor_many(factors)))
+    otherwise.
+
+    The join's chains are the augmented chains of |left| tensored with the
+    basepoint-deleted chains of each factor, shifted up by 1.  All of them
+    are free, so Kunneth gives the homology from the factors' homology and
+    no product complex is built.  The fold starts at H-tilde(S^0) = Z in
+    degree 0, the unit of the smash.
+    """
+    smash = HomologySummary(((0, 1, ()),))
+    for i, p in enumerate(pairs):
+        smash = kunneth_product(smash, homology(
+            pair_chain(p, a_only=not x_mask >> i & 1, drop_basepoint=True)))
+    link = homology(simplicial_chain_complex(left, reduced=True))
+    return kunneth_product(link, smash).shifted(1)
 
 
 # -- contractible X: join model ----------------------------------------------------
@@ -408,7 +419,8 @@ def porter_decomposition(m: int, q: int,
 
     Every subset I with |I| > q+1 contributes a sphere of dimension
     q + 1 + sum of the y_i over I, with multiplicity C(|I|-1, q+1).  This is
-    the oracle-confirmed bookkeeping.
+    the oracle-confirmed bookkeeping.  The subsets are enumerated, so m is
+    capped at MAX_ENUMERATION_VERTICES.
     """
     dims = tuple(int(d) for d in y_dims)
     if len(dims) != m:
@@ -417,6 +429,8 @@ def porter_decomposition(m: int, q: int,
         raise InputError("sphere dimensions must be >= 0")
     if not 0 <= q <= m - 2:
         raise InputError(f"skeleton degree q = {q} outside 0..{m - 2}")
+    if m > MAX_ENUMERATION_VERTICES:
+        raise SearchBoundExceeded(f"m = {m} exceeds {MAX_ENUMERATION_VERTICES}")
     counts: dict[int, int] = {}
     for mask in range(1, 1 << m):
         size = mask.bit_count()

@@ -1,12 +1,12 @@
 """Independent oracles used only by the tests.
 
-Kunneth predictions of product and join homology, the rejected Porter
-bookkeeping the tests pin down, homology dimensions over F_p from a rank
-mod p that never leaves the field, and the order complex of the faces
-above a face, which the link replaces in the wedge lemma.
+The rejected Porter bookkeeping the tests pin down, homology dimensions
+over F_p from a rank mod p that never leaves the field, and the order
+complex of the faces above a face, which the link replaces in the wedge
+lemma.
 """
 
-from math import comb, gcd
+from math import comb
 from typing import Iterable, Sequence
 
 from polyprod.complexes import (
@@ -18,34 +18,6 @@ from polyprod.complexes import (
 from polyprod.errors import ArityMismatch, FaceNotInComplex, InputError
 from polyprod.homology import ChainComplex, HomologySummary
 from polyprod.products import SphereList
-
-
-# -- Kunneth predictions ------------------------------------------------------
-
-def kunneth_product(a: HomologySummary, b: HomologySummary) -> HomologySummary:
-    """H(X x Y) from H(X), H(Y): free parts at i+j, Tor terms at i+j+1."""
-    acc: dict[int, tuple[int, list[int]]] = {}
-
-    def add(deg: int, betti: int, orders: Iterable[int]):
-        cur_b, cur_t = acc.get(deg, (0, []))
-        acc[deg] = (cur_b + betti, cur_t + list(orders))
-
-    for d1, b1, t1 in a.groups:
-        for d2, b2, t2 in b.groups:
-            tensor_tor = ([x] * b2 for x in t1)
-            orders = [x for sub in tensor_tor for x in sub]
-            orders += [y for y in t2 for _ in range(b1)]
-            orders += [gcd(x, y) for x in t1 for y in t2]
-            add(d1 + d2, b1 * b2, orders)
-            tor = [gcd(x, y) for x in t1 for y in t2]
-            if tor:
-                add(d1 + d2 + 1, 0, tor)
-    return HomologySummary.from_map(acc)
-
-
-def kunneth_join(a: HomologySummary, b: HomologySummary) -> HomologySummary:
-    """Reduced homology of a join: the product prediction shifted up by 1."""
-    return kunneth_product(a, b).shifted(1)
 
 
 # -- Porter's skeleton wedges: the rejected bookkeeping -----------------------

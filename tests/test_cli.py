@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import polyprod
+from polyprod import cli
 from polyprod.cli import main
 from polyprod.complexes import vertices_from_mask
 from polyprod.errors import InputError
@@ -311,6 +312,19 @@ def test_toric_command_with_a_huge_prime_entry_finishes(tmp_path):
     assert kinds == {"row_not_primitive", "face_not_unimodular"}
 
 
+def test_porter_on_forty_vertices_hits_the_enumeration_bound():
+    # 2^40 subsets would run for days; the bound must refuse them at once
+    src = str(Path(polyprod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyprod.cli", "porter", "40", "--q", "1"],
+        capture_output=True, text=True, timeout=2, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "m = 40 exceeds 24" in proc.stderr
+
+
 def test_wedge_lemma_on_a_seven_vertex_sphere_finishes(tmp_path):
     # the boundary of the 6-simplex: its barycentric subdivision has 47,293
     # faces, so the left factors must come from links, not order complexes
@@ -361,6 +375,51 @@ def test_jobs_flag_never_changes_output(capsys, square_file):
     _, h1, _ = run(capsys, "hochster", square_file, "--n", "2", "--jobs", "1")
     _, h2, _ = run(capsys, "hochster", square_file, "--n", "2", "--jobs", "3")
     assert h1 == h2
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the requested size and
+    maps in this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+        self.map = map
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_jobs_are_capped_at_the_cpu_count(capsys, square_file, monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    _, serial, _ = run(capsys, "hochster", square_file)
+    for jobs in ("100000", "3", "1"):
+        code, out, _ = run(capsys, "hochster", square_file, "--jobs", jobs)
+        assert (code, out) == (0, serial)
+    assert RecordingPool.sizes == [4, 3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run(capsys, "split", square_file, "--pair", "disk-sphere:1",
+               "--jobs", "100000")[0] == 0
+    assert RecordingPool.sizes == [4, 3]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_are_rejected(capsys, square_file, monkeypatch, jobs):
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    with pytest.raises(SystemExit) as exc:
+        main(["hochster", square_file, "--jobs", jobs])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --jobs: must be >= 1, got {jobs}" in captured.err
+    assert RecordingPool.sizes == []
 
 
 def test_json_output_is_sorted_and_stable(capsys, square_file):

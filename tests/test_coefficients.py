@@ -1,8 +1,11 @@
 """Torsion products against field coefficients: the universal coefficient
-theorem checks the integral homology of (C RP^2, RP^2) products against
-ranks mod p, and the sparse elimination leaves them no dense remainder."""
+theorem checks the integral homology of (C RP^2, RP^2) products and of every
+golden homology input against ranks mod p, and the sparse elimination
+leaves the (C RP^2, RP^2) products no dense remainder."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,11 +20,21 @@ from polyprod.catalog import (
 )
 from polyprod.complexes import SimplicialComplex
 from polyprod.errors import BudgetExceeded
+from polyprod.files import load_complex, parse_pair_spec
 from polyprod.homology import homology, simplicial_chain_complex
 from polyprod.pairs import rp2_pair
 from polyprod.products import moment_angle_chain
 
 from oracles import mod_p_dims, universal_coefficients
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (complex file, pair specs) of every golden `homology` case, once each
+_GOLDEN_HOMOLOGY_INPUTS = sorted({
+    (case["argv"][1],
+     tuple(a for a, flag in zip(case["argv"][1:], case["argv"]) if flag == "--pair"))
+    for case in json.loads((GOLDEN / "cases.json").read_text())
+    if case["argv"][0] == "homology"})
 
 # two complexes with f-vector (6, 15, 10): every edge on 6 vertices plus
 # these triangles; their (C RP^2, RP^2) models have 43,281 cells each
@@ -97,6 +110,27 @@ def test_universal_coefficients_on_random_products(m, seed, picks):
         c = moment_angle_chain(k, [library[i] for i in picks[:m]], budget=3000)
     except BudgetExceeded:
         assume(False)
+    h = homology(c)
+    for p in (2, 3):
+        assert mod_p_dims(c, p) == universal_coefficients(h, p), p
+
+
+def test_golden_homology_inputs_include_every_pair_kind():
+    specs = {s for _, specs in _GOLDEN_HOMOLOGY_INPUTS for s in specs}
+    for kind in ("disk-sphere:", "cone:", "based:"):
+        assert any(s.startswith(kind) for s in specs), kind
+    assert any(len(specs) > 1 for _, specs in _GOLDEN_HOMOLOGY_INPUTS)
+
+
+@pytest.mark.parametrize("complex_file, specs", _GOLDEN_HOMOLOGY_INPUTS,
+                         ids=[" ".join((f,) + s) for f, s in _GOLDEN_HOMOLOGY_INPUTS])
+def test_universal_coefficients_on_golden_inputs(complex_file, specs, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    k = load_complex(complex_file)
+    pairs = [parse_pair_spec(s) for s in specs]
+    if len(pairs) == 1:
+        pairs *= k.m
+    c = moment_angle_chain(k, pairs)
     h = homology(c)
     for p in (2, 3):
         assert mod_p_dims(c, p) == universal_coefficients(h, p), p

@@ -7,6 +7,13 @@ block-by-block route to the earlier bytes.  The toric cases print the kernel
 basis, the rows U[rank:] of the witnessed Smith normal form, so they pin U.
 Every subcommand has at least one case in each output format; the series
 commands pin num and den, and shifted pins the sphere wedge.
+
+wedge_lemma_summands.json pins the library's wedge-lemma summands, face by
+face, on every complex with m <= 4 vertices and every pair of the standard
+library.  It was recorded when each summand was the homology of the join's
+full chain complex, so it ties the Kunneth route to that one.  It keys each
+case by m, the maximal faces and the pair name, and lists the nonzero
+summands as (face, homology groups).
 """
 
 import argparse
@@ -15,7 +22,10 @@ from pathlib import Path
 
 import pytest
 
+from polyprod.catalog import all_complexes_on, standard_pair_library
 from polyprod.cli import build_parser, main
+from polyprod.complexes import vertices_from_mask
+from polyprod.products import wedge_lemma_decomposition
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -46,3 +56,23 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert (code, err) == (case["exit"], "")
     assert out == (GOLDEN / f"{case['name']}.out").read_text()
+
+
+def test_wedge_lemma_summands_match_recorded_values():
+    recorded = json.loads((GOLDEN / "wedge_lemma_summands.json").read_text())
+    checked = 0
+    for m in range(1, 5):
+        for k in all_complexes_on(m):
+            facets = " ".join("".join(map(str, vertices_from_mask(f))) or "-"
+                              for f in k.maximal_faces)
+            for pair in standard_pair_library():
+                res = wedge_lemma_decomposition(k, [pair] * m)
+                assert res.verified
+                assert len(res.summands) == len(k.faces)
+                nonzero = [[list(s.subset),
+                            [[d, b, list(chain)] for d, b, chain in s.homology.groups]]
+                           for s in res.summands if not s.homology.is_trivial()]
+                key = f"{m} [{facets}] {pair.name}"
+                assert nonzero == recorded[key], key
+                checked += 1
+    assert checked == len(recorded) == 176

@@ -1,5 +1,5 @@
 """Exact linear algebra and homology: Smith form properties against
-independent oracles, classical spaces, Kunneth/tensor/join consistency."""
+independent oracles, classical spaces, Kunneth/product/join consistency."""
 
 import random
 import types
@@ -23,7 +23,6 @@ from polyprod.catalog import (
     square,
 )
 from polyprod.errors import (
-    InputError,
     BoundaryNotSquareZero,
     DimensionMismatch,
     NotASubcomplex,
@@ -31,26 +30,30 @@ from polyprod.errors import (
 from polyprod.homology import (
     ChainComplex,
     HomologySummary,
-    algebraic_join,
     augmented,
     check_boundaries,
     direct_sum,
     empty_chain_complex,
     homology,
     invariant_factors,
+    kunneth_product,
     make_chain_complex,
     quotient_complex,
     reduced_simplicial_homology,
-    shift,
     simplicial_chain_complex,
     smith_normal_form,
-    tensor,
-    tensor_many,
     trivial_summary,
 )
-from polyprod.pairs import circle_space, pair_chain, pair_disk_sphere, rp2_space
-
-from oracles import kunneth_join, kunneth_product
+from polyprod.pairs import (
+    PairModel,
+    circle_space,
+    pair_chain,
+    pair_disk_sphere,
+    rp2_space,
+    simplicial_space,
+    validate_pair,
+)
+from polyprod.products import moment_angle_chain
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +106,20 @@ def random_matrix(rng, rows, cols):
              for _ in range(cols)] for _ in range(rows)]
 
 
-def moore_space(k: int) -> ChainComplex:
+def moore_space(k: int) -> PairModel:
     """Cells v, e, f with boundary f = k*e: a mod-k Moore space in degree 1."""
-    return make_chain_complex({0: 1, 1: 1, 2: 1}, {1: [{}], 2: [{0: k}]})
+    space = PairModel(name=f"M(Z/{k},1)", dims=(0, 1, 2), in_a=(True,) * 3,
+                      boundaries=((), (), ((1, k),)), basepoint=0,
+                      cell_ids=("v", "e", "f"))
+    validate_pair(space)
+    return space
+
+
+def product_chain(a: PairModel, b: PairModel) -> ChainComplex:
+    """Chains of the product of two space models: for all-A models every
+    cell of the polyhedral product has empty support, so the model is the
+    tensor product of the factors' chains."""
+    return moment_angle_chain(simplex(2), [a, b])
 
 
 def summary(**groups) -> HomologySummary:
@@ -384,23 +398,23 @@ def test_augmented_shifts_h0_to_reduced():
 
 
 # ---------------------------------------------------------------------------
-# tensor, join, quotient
+# products, joins, quotients
 # ---------------------------------------------------------------------------
 
 def test_torus_from_two_circles():
-    t2 = tensor(pair_chain(circle_space()), pair_chain(circle_space()))
+    t2 = product_chain(circle_space(), circle_space())
     check_boundaries(t2)
     assert homology(t2) == summary(d0=(1, ()), d1=(2, ()), d2=(1, ()))
 
 
 def test_circle_times_projective_plane():
-    c = tensor(pair_chain(circle_space()), pair_chain(rp2_space()))
+    c = product_chain(circle_space(), rp2_space())
     assert homology(c) == summary(d0=(1, ()), d1=(1, (2,)), d2=(0, (2,)))
 
 
 def test_tor_term_in_product_of_torsion_spaces():
     # mod-2 Moore square: the degree-3 class exists only through Tor
-    c = tensor(moore_space(2), moore_space(2))
+    c = product_chain(moore_space(2), moore_space(2))
     h = homology(c)
     assert h.torsion(2) == (2,)
     assert h.torsion(3) == (2,)
@@ -411,55 +425,39 @@ def test_kunneth_oracle_on_random_tensors():
     rng = random.Random(404)
     sources = []
     for _ in range(8):
-        sources.append(simplicial_chain_complex(
-            random_complex(rng, rng.randrange(1, 5))))
+        k = random_complex(rng, rng.randrange(1, 5))
+        sources.append(simplicial_space(
+            k, min(v for face in k.face_tuples() for v in face)))
     for k in (2, 3, 4, 6, 12):
         sources.append(moore_space(k))
-    sources.append(pair_chain(rp2_space()))
-    sources.append(pair_chain(pair_disk_sphere(2)))
+    sources.append(rp2_space())
+    sources.append(pair_disk_sphere(2))
     for trial in range(50):
         a = rng.choice(sources)
         b = rng.choice(sources)
-        prod = tensor(a, b)
+        prod = product_chain(a, b)
         check_boundaries(prod)
-        assert homology(prod) == kunneth_product(homology(a), homology(b)), trial
-
-
-def test_tensor_with_empty_factor_is_empty():
-    c = tensor(simplicial_chain_complex(square()), empty_chain_complex())
-    assert c.total_cells() == 0
-    single = tensor_many([simplicial_chain_complex(square())])
-    assert homology(single) == homology(simplicial_chain_complex(square()))
-    with pytest.raises(InputError):
-        tensor_many([])
+        predicted = kunneth_product(homology(pair_chain(a)),
+                                    homology(pair_chain(b)))
+        assert homology(prod) == predicted, trial
 
 
 def test_join_three_ways():
-    # simplicial join, algebraic join, and the Kunneth prediction must agree
+    # simplicial join and the Kunneth prediction must agree
     rng = random.Random(77)
     for trial in range(25):
         k1 = random_complex(rng, rng.randrange(1, 4))
         k2 = random_complex(rng, rng.randrange(1, 4))
         topological = reduced_simplicial_homology(join_complex(k1, k2))
-        algebraic = homology(algebraic_join(
-            simplicial_chain_complex(k1, reduced=True),
-            simplicial_chain_complex(k2, reduced=True)))
-        predicted = kunneth_join(reduced_simplicial_homology(k1),
-                                 reduced_simplicial_homology(k2))
-        assert topological == algebraic == predicted, trial
+        predicted = kunneth_product(reduced_simplicial_homology(k1),
+                                    reduced_simplicial_homology(k2)).shifted(1)
+        assert topological == predicted, trial
 
 
 def test_join_with_projective_plane_creates_torsion_shift():
     # S^0 * RP^2 = suspension of RP^2: the Z/2 moves from degree 1 to 2
-    joined = algebraic_join(
-        simplicial_chain_complex(disjoint_points(2), reduced=True),
-        simplicial_chain_complex(projective_plane(), reduced=True))
-    assert homology(joined) == summary(d2=(0, (2,)))
-
-
-def test_shift_moves_degrees():
-    c = simplicial_chain_complex(square())
-    assert homology(shift(c, 3)) == homology(c).shifted(3)
+    joined = join_complex(disjoint_points(2), projective_plane())
+    assert reduced_simplicial_homology(joined) == summary(d2=(0, (2,)))
 
 
 def test_quotient_disk_by_boundary_sphere():

@@ -30,6 +30,7 @@ from polyprod.errors import (
     InputError,
     NotShifted,
     PairNotCertified,
+    SearchBoundExceeded,
     SeriesError,
     TorsionInShiftedSubcomplex,
 )
@@ -461,6 +462,11 @@ def test_porter_uniform_values():
     assert str(wedge) == "6 x S^3 v 8 x S^4 v 3 x S^5"
     top = porter_decomposition(3, 1, (1, 1, 1))
     assert top.spheres == ((5, 1),)
+
+
+def test_porter_refuses_more_than_the_enumeration_bound():
+    with pytest.raises(SearchBoundExceeded, match="m = 25 exceeds 24"):
+        porter_decomposition(25, 1, (1,) * 25)
 
 
 def test_porter_matches_chain_oracle():
