@@ -100,6 +100,11 @@ def all_complexes_on(m: int, up_to_iso: bool = True) -> tuple[SimplicialComplex,
     Families are generated as antichains of maximal faces (depth-first, so
     the work is proportional to the Dedekind-number count, not 2^(2^m));
     m = 5 yields 7580 labeled families and is the practical ceiling.
+
+    Up to isomorphism, each class is canonicalized once: the first family
+    met of an orbit has its image under every vertex permutation computed,
+    all of them are marked seen, and the least sorted image represents the
+    class.  Later families of the orbit are skipped by bitmap lookup.
     """
     if not 1 <= m <= 5:
         raise InputError("exhaustive complex enumeration supports 1 <= m <= 5")
@@ -138,15 +143,15 @@ def all_complexes_on(m: int, up_to_iso: bool = True) -> tuple[SimplicialComplex,
             [_apply_perm(mask, perm) for mask in range(n_subsets)]
             for perm in permutations(range(m))
         ]
-        seen = set()
-        unique = []
+        seen: set[int] = set()
+        chosen = []
         for fam in families:
+            if fam in seen:
+                continue
             faces = faces_of(fam)
-            canon = min(tuple(sorted(table[f] for f in faces)) for table in tables)
-            if canon not in seen:
-                seen.add(canon)
-                unique.append(canon)
-        chosen = unique
+            orbit = {sum(1 << table[f] for f in faces) for table in tables}
+            seen |= orbit
+            chosen.append(min(map(faces_of, orbit)))
     else:
         chosen = [faces_of(fam) for fam in families]
 

@@ -54,7 +54,7 @@ from .homology import (
     simplicial_chain_complex,
 )
 from .pairs import PairModel, pair_chain
-from .series import RationalSeries
+from .series import RationalSeries, poly_add, poly_mul, poly_pow
 
 DEFAULT_CELL_BUDGET = 2_000_000
 SPLITTING_SUBSET_BOUND = 12
@@ -317,7 +317,9 @@ def wedge_lemma_decomposition(k: SimplicialComplex, pairs: Sequence[PairModel],
     link of sigma (of K itself when sigma is empty), so the link computes
     the factor with far fewer cells; the descriptions keep the paper's name.
     Each summand's homology comes by Kunneth from the reduced homology of
-    the link and of each X_i or A_i, so no join is built.
+    the link and of each X_i or A_i, so no join is built.  The factors'
+    homology is computed once per pair, and a face whose smash is acyclic
+    contributes zero without its link being computed.
     Valid when every inclusion A_i -> X_i is null-homotopic; models carry
     that certificate structurally, and uncertified ones are refused.  The
     direct sum is compared against the smash model oracle, which is built
@@ -328,33 +330,49 @@ def wedge_lemma_decomposition(k: SimplicialComplex, pairs: Sequence[PairModel],
         if not p.null_homotopic_inclusion:
             raise PairNotCertified(
                 f"pair model {p.name} carries no null-homotopy certificate")
+    a_homology = [_factor_homology(p, a_only=True) for p in pairs]
+    x_homology = [_factor_homology(p, a_only=False) for p in pairs]
     summands = []
     for sigma in k.faces_sorted():
         verts = vertices_from_mask(sigma)
+        smash = _smash_homology(x_homology[i] if sigma >> i & 1 else a_homology[i]
+                                for i in range(k.m))
         summands.append(SplitSummand(
             verts,
             f"order complex above {_subset_label(verts)} joined with Dhat",
-            _join_with_smash(k.link(verts), pairs, sigma)))
+            smash if smash.is_trivial() else _join_homology(k.link(verts), smash)))
     total = direct_sum(s.homology for s in summands)
     oracle = homology(smash_moment_angle_chain(k, pairs, budget))
     return SplittingResult(tuple(summands), total, oracle, total == oracle)
 
 
-def _join_with_smash(left: SimplicialComplex, pairs: Sequence[PairModel],
-                     x_mask: int) -> HomologySummary:
-    """H-tilde of |left| joined with the smash of X_i for i in x_mask and A_i
-    otherwise.
+def _factor_homology(p: PairModel, a_only: bool) -> HomologySummary:
+    """H-tilde of X (of A when a_only), from its basepoint-deleted chains."""
+    return homology(pair_chain(p, a_only=a_only, drop_basepoint=True))
 
-    The join's chains are the augmented chains of |left| tensored with the
-    basepoint-deleted chains of each factor, shifted up by 1.  All of them
-    are free, so Kunneth gives the homology from the factors' homology and
-    no product complex is built.  The fold starts at H-tilde(S^0) = Z in
-    degree 0, the unit of the smash.
+
+def _smash_homology(factors: Iterable[HomologySummary]) -> HomologySummary:
+    """H-tilde of the smash of spaces whose reduced homology is `factors`.
+
+    Their basepoint-deleted chains are free, so Kunneth folds the factors'
+    homology, starting at H-tilde(S^0) = Z in degree 0, the unit of the
+    smash.
     """
     smash = HomologySummary(((0, 1, ()),))
-    for i, p in enumerate(pairs):
-        smash = kunneth_product(smash, homology(
-            pair_chain(p, a_only=not x_mask >> i & 1, drop_basepoint=True)))
+    for h in factors:
+        smash = kunneth_product(smash, h)
+    return smash
+
+
+def _join_homology(left: SimplicialComplex,
+                   smash: HomologySummary) -> HomologySummary:
+    """H-tilde of |left| joined with a space whose reduced homology is smash.
+
+    The join's chains are the augmented chains of |left| tensored with the
+    smash's basepoint-deleted chains, shifted up by 1, so Kunneth gives its
+    homology and no product complex is built.  An acyclic smash gives an
+    acyclic join, whatever left is.
+    """
     link = homology(simplicial_chain_complex(left, reduced=True))
     return kunneth_product(link, smash).shifted(1)
 
@@ -367,7 +385,8 @@ def contractible_X_summary(k: SimplicialComplex,
     """H-tilde of Zhat(K;(CA,A)) computed as the join of |K| with the smash
     of the A's (no cone cells are ever built): the wedge lemma's summand at
     the empty face, whose link is K."""
-    return _join_with_smash(k, _check_arity(k, a_models), 0)
+    return _join_homology(k, _smash_homology(
+        _factor_homology(p, a_only=True) for p in _check_arity(k, a_models)))
 
 
 # -- contractible A: additive series ----------------------------------------------
@@ -382,32 +401,43 @@ def _require_reduced(series: RationalSeries) -> RationalSeries:
 def contractible_A_series(k: SimplicialComplex,
                           x_series: Sequence[RationalSeries]) -> RationalSeries:
     """Reduced Poincare series of Z(K;(X,*)): sum over nonempty faces I of
-    the product of the reduced series of the X_i with i in I."""
+    the product of the reduced series of the X_i with i in I.
+
+    The sum is taken over the common denominator prod_i den_i: face I
+    contributes prod_{i in I} num_i * prod_{i not in I} den_i to the
+    numerator, so the denominator's degree is the sum of the den_i's."""
     series = tuple(x_series)
     if len(series) != k.m:
         raise ArityMismatch(f"{len(series)} series for m = {k.m} vertices")
     for s in series:
         _require_reduced(s)
-    total = RationalSeries.zero()
-    for mask in k.faces_sorted():
+    num: tuple[int, ...] = ()
+    for mask in k.faces:
         if not mask:
             continue
-        term = RationalSeries.one()
-        for v in vertices_from_mask(mask):
-            term = term * series[v - 1]
-        total = total + term
-    return total
+        term: tuple[int, ...] = (1,)
+        for i, s in enumerate(series):
+            term = poly_mul(term, s.num if mask >> i & 1 else s.den)
+        num = poly_add(num, term)
+    den: tuple[int, ...] = (1,)
+    for s in series:
+        den = poly_mul(den, s.den)
+    return RationalSeries.make(num, den)
 
 
 def poincare_polynomial(k: SimplicialComplex,
                         px: RationalSeries) -> RationalSeries:
-    """Identical-X special case: sum over k of f_k * (reduced series)^(k+1)."""
+    """Identical-X special case: sum over j of f_j * (reduced series)^(j+1),
+    taken over the common denominator den^n with n = dim K + 1, that is
+    sum_j f_j * num^(j+1) * den^(n-j-1) / den^n."""
     _require_reduced(px)
-    total = RationalSeries.zero()
-    for deg, count in enumerate(k.f_vector()):
-        if count:
-            total = total + RationalSeries.from_polynomial((count,)) * px ** (deg + 1)
-    return total
+    f = k.f_vector()
+    n = len(f)
+    num: tuple[int, ...] = ()
+    for j, count in enumerate(f):
+        term = poly_mul(poly_pow(px.num, j + 1), poly_pow(px.den, n - j - 1))
+        num = poly_add(num, poly_mul((count,), term))
+    return RationalSeries.make(num, poly_pow(px.den, n))
 
 
 # -- skeleton decompositions --------------------------------------------------------
@@ -419,8 +449,10 @@ def porter_decomposition(m: int, q: int,
 
     Every subset I with |I| > q+1 contributes a sphere of dimension
     q + 1 + sum of the y_i over I, with multiplicity C(|I|-1, q+1).  This is
-    the oracle-confirmed bookkeeping.  The subsets are enumerated, so m is
-    capped at MAX_ENUMERATION_VERTICES.
+    the oracle-confirmed bookkeeping.  A contribution depends only on |I|
+    and the y-sum over I, so no subset is enumerated: a table counts the
+    subsets of each size and y-sum, one vertex at a time.  m stays capped
+    at MAX_ENUMERATION_VERTICES, the bound of the subset formulas.
     """
     dims = tuple(int(d) for d in y_dims)
     if len(dims) != m:
@@ -431,13 +463,18 @@ def porter_decomposition(m: int, q: int,
         raise InputError(f"skeleton degree q = {q} outside 0..{m - 2}")
     if m > MAX_ENUMERATION_VERTICES:
         raise SearchBoundExceeded(f"m = {m} exceeds {MAX_ENUMERATION_VERTICES}")
+    # table[s][d]: the number of subsets of size s whose y_i sum to d
+    table: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(m)]
+    for n, y in enumerate(dims):
+        for s in range(n, -1, -1):
+            bigger = table[s + 1]
+            for d, count in table[s].items():
+                bigger[d + y] = bigger.get(d + y, 0) + count
     counts: dict[int, int] = {}
-    for mask in range(1, 1 << m):
-        size = mask.bit_count()
-        if size <= q + 1:
-            continue
-        dim = q + 1 + sum(dims[i] for i in range(m) if mask >> i & 1)
-        counts[dim] = counts.get(dim, 0) + comb(size - 1, q + 1)
+    for s in range(q + 2, m + 1):
+        for d, count in table[s].items():
+            dim = q + 1 + d
+            counts[dim] = counts.get(dim, 0) + comb(s - 1, q + 1) * count
     return SphereList.from_counts(counts)
 
 

@@ -1,11 +1,14 @@
 """Independent oracles used only by the tests.
 
-The rejected Porter bookkeeping the tests pin down, homology dimensions
-over F_p from a rank mod p that never leaves the field, and the order
-complex of the faces above a face, which the link replaces in the wedge
-lemma.
+Porter's skeleton wedges by a walk over every subset, and the rejected
+bookkeeping the tests pin down; homology dimensions over F_p from a rank
+mod p that never leaves the field; the order complex of the faces above a
+face, which the link replaces in the wedge lemma; the complex enumeration
+that canonicalizes every labeled family; and the face-series sums taken
+one RationalSeries addition at a time.
 """
 
+from itertools import permutations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -18,9 +21,25 @@ from polyprod.complexes import (
 from polyprod.errors import ArityMismatch, FaceNotInComplex, InputError
 from polyprod.homology import ChainComplex, HomologySummary
 from polyprod.products import SphereList
+from polyprod.series import RationalSeries
 
 
-# -- Porter's skeleton wedges: the rejected bookkeeping -----------------------
+# -- Porter's skeleton wedges -------------------------------------------------
+
+def porter_decomposition_by_subsets(m: int, q: int,
+                                    y_dims: Sequence[int]) -> SphereList:
+    """The oracle-confirmed bookkeeping, summed over every subset I with
+    |I| > q+1: a sphere of dimension q + 1 + sum of the y_i over I, with
+    multiplicity C(|I|-1, q+1)."""
+    counts: dict[int, int] = {}
+    for mask in range(1, 1 << m):
+        size = mask.bit_count()
+        if size <= q + 1:
+            continue
+        dim = q + 1 + sum(y_dims[i] for i in range(m) if mask >> i & 1)
+        counts[dim] = counts.get(dim, 0) + comb(size - 1, q + 1)
+    return SphereList.from_counts(counts)
+
 
 def porter_decomposition_printed_variant(m: int, q: int,
                                          y_dims: Sequence[int]) -> SphereList:
@@ -122,3 +141,86 @@ def order_complex_below(k: SimplicialComplex,
         for j in succ[i]:
             stack.append((j, chain | 1 << j))
     return SimplicialComplex.from_faces(n, chains)
+
+
+# -- exhaustive enumeration ---------------------------------------------------
+
+def all_complexes_per_family(m: int, up_to_iso: bool = True
+                             ) -> tuple[SimplicialComplex, ...]:
+    """Every downward-closed face family on m labeled vertices, optionally
+    one per isomorphism class, with every labeled family canonicalized: the
+    least, over all m! vertex permutations, of its sorted image."""
+    n_subsets = 1 << m
+    candidates = sorted(range(1, n_subsets), key=lambda s: (s.bit_count(), s))
+    families: list[int] = []
+
+    def closure(tops: list[int]) -> int:
+        fam = 1
+        for top in tops:
+            sub = top
+            while True:
+                fam |= 1 << sub
+                if sub == 0:
+                    break
+                sub = (sub - 1) & top
+        return fam
+
+    def extend(start: int, tops: list[int]) -> None:
+        families.append(closure(tops))
+        for idx in range(start, len(candidates)):
+            cand = candidates[idx]
+            if all(cand & t not in (cand, t) for t in tops):
+                tops.append(cand)
+                extend(idx + 1, tops)
+                tops.pop()
+
+    extend(0, [])
+
+    def faces_of(fam: int) -> tuple[int, ...]:
+        return tuple(s for s in range(n_subsets) if fam >> s & 1)
+
+    if up_to_iso:
+        tables = [[sum(1 << perm[b] for b in range(m) if mask >> b & 1)
+                   for mask in range(n_subsets)]
+                  for perm in permutations(range(m))]
+        seen = set()
+        chosen = []
+        for fam in families:
+            faces = faces_of(fam)
+            canon = min(tuple(sorted(table[f] for f in faces)) for table in tables)
+            if canon not in seen:
+                seen.add(canon)
+                chosen.append(canon)
+    else:
+        chosen = [faces_of(fam) for fam in families]
+    complexes = [SimplicialComplex.from_faces(m, faces) for faces in chosen]
+    complexes.sort(key=lambda k: (len(k.faces), tuple(sorted(k.faces))))
+    return tuple(complexes)
+
+
+# -- face series, one addition at a time --------------------------------------
+
+def contractible_A_series_by_faces(k: SimplicialComplex,
+                                   x_series: Sequence[RationalSeries]
+                                   ) -> RationalSeries:
+    """Sum over nonempty faces I of the product of the series with i in I,
+    each product and sum a RationalSeries operation."""
+    total = RationalSeries.zero()
+    for mask in k.faces_sorted():
+        if not mask:
+            continue
+        term = RationalSeries.one()
+        for v in vertices_from_mask(mask):
+            term = term * x_series[v - 1]
+        total = total + term
+    return total
+
+
+def poincare_polynomial_by_faces(k: SimplicialComplex,
+                                 px: RationalSeries) -> RationalSeries:
+    """Sum over j of f_j * px^(j+1), one RationalSeries operation at a time."""
+    total = RationalSeries.zero()
+    for deg, count in enumerate(k.f_vector()):
+        if count:
+            total = total + RationalSeries.from_polynomial((count,)) * px ** (deg + 1)
+    return total

@@ -36,7 +36,7 @@ from polyprod.errors import (
 )
 from polyprod.homology import reduced_simplicial_homology
 
-from oracles import order_complex_below
+from oracles import all_complexes_per_family, order_complex_below
 
 
 def test_mask_roundtrip():
@@ -250,6 +250,17 @@ def test_all_complexes_on_counts():
     assert [len(all_complexes_on(m, up_to_iso=False)) for m in (1, 2, 3, 4)] \
         == [2, 5, 19, 167]
     assert [len(all_complexes_on(m)) for m in (1, 2, 3, 4)] == [2, 4, 9, 29]
+
+
+@pytest.mark.parametrize("up_to_iso", [True, False])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_all_complexes_on_matches_the_per_family_oracle(m, up_to_iso):
+    # one canonicalization per orbit picks the same representatives, in
+    # the same order, as canonicalizing every labeled family
+    fast = all_complexes_on(m, up_to_iso)
+    assert fast == all_complexes_per_family(m, up_to_iso)
+    if m == 5:
+        assert len(fast) == (209 if up_to_iso else 7580)
 
 
 def test_all_complexes_are_valid_and_deduplicated():

@@ -7,6 +7,7 @@ against previously recorded output.
 
 import random
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -66,7 +67,12 @@ from polyprod.products import (
 )
 from polyprod.series import RationalSeries
 
-from oracles import porter_decomposition_printed_variant
+from oracles import (
+    contractible_A_series_by_faces,
+    poincare_polynomial_by_faces,
+    porter_decomposition_by_subsets,
+    porter_decomposition_printed_variant,
+)
 
 
 def betti_map(summary):
@@ -442,6 +448,51 @@ def test_contractible_a_series_rejects_unreduced_input():
         contractible_A_series(square(), [RationalSeries.one()] * 4)
 
 
+def _reduced_series(draw_num, draw_den) -> RationalSeries:
+    # zero constant term on top, constant term 1 below
+    return RationalSeries.make((0,) + tuple(draw_num), (1,) + tuple(draw_den))
+
+
+_coeffs = st.lists(st.integers(-5, 5), min_size=0, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(_coeffs, _coeffs), min_size=5, max_size=5))
+def test_face_series_over_a_common_denominator_match_face_by_face_sums(
+        m, seed, drawn):
+    k = random_complex(random.Random(seed), m)
+    series = [_reduced_series(num, den) for num, den in drawn[:m]]
+    fast = contractible_A_series(k, series)
+    slow = contractible_A_series_by_faces(k, series)
+    assert fast == slow
+    assert fast.expansion(30) == slow.expansion(30)
+    fast = poincare_polynomial(k, series[0])
+    slow = poincare_polynomial_by_faces(k, series[0])
+    assert fast == slow
+    assert fast.expansion(30) == slow.expansion(30)
+
+
+def test_boundary_series_denominator_is_the_product_of_the_vertex_ones():
+    # t^a/(1-t) per vertex of the boundary of the 8-simplex: one factor
+    # (1-t) per vertex, not one per face addition
+    exponents = (1, 2, 3, 1, 2, 3, 1, 2, 3)
+    x_series = [RationalSeries.make((0,) * a + (1,), (1, -1)) for a in exponents]
+    boundary = simplex_boundary(9)
+    s = contractible_A_series(boundary, x_series)
+    assert len(s.den) - 1 == 9
+    # face I adds t^(sum of a_i) / (1-t)^|I|: count its coefficients directly
+    order = 30
+    expected = [0] * (order + 1)
+    for mask in boundary.faces:
+        if mask:
+            low = sum(a for i, a in enumerate(exponents) if mask >> i & 1)
+            size = mask.bit_count()
+            for n in range(low, order + 1):
+                expected[n] += comb(n - low + size - 1, size - 1)
+    assert s.expansion(order) == tuple(expected)
+
+
 def test_poincare_polynomial_agrees_with_based_oracle():
     t2 = RationalSeries.monomial(2)
     series = poincare_polynomial(square(), t2)
@@ -467,6 +518,16 @@ def test_porter_uniform_values():
 def test_porter_refuses_more_than_the_enumeration_bound():
     with pytest.raises(SearchBoundExceeded, match="m = 25 exceeds 24"):
         porter_decomposition(25, 1, (1,) * 25)
+
+
+def test_porter_count_table_matches_the_subset_walk():
+    rng = random.Random(909)
+    for _ in range(150):
+        m = rng.randrange(2, 13)
+        q = rng.randrange(0, m - 1)
+        dims = [rng.randrange(0, 5) for _ in range(m)]
+        assert porter_decomposition(m, q, dims) \
+            == porter_decomposition_by_subsets(m, q, dims), (m, q, dims)
 
 
 def test_porter_matches_chain_oracle():
