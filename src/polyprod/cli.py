@@ -129,6 +129,13 @@ def _load(args) -> SimplicialComplex:
     return load_complex(args.complex)
 
 
+def _diagnostic_entries(diagnostics) -> list[dict]:
+    return [{"kind": d.kind, "message": d.message,
+             "face": list(d.face) if d.face is not None else None,
+             "vertex": d.vertex}
+            for d in diagnostics]
+
+
 # -- command handlers -----------------------------------------------------------
 
 def _cmd_validate(args) -> int:
@@ -138,11 +145,7 @@ def _cmd_validate(args) -> int:
         "ok": not diagnostics,
         "m": k.m,
         "f_vector": list(k.f_vector()) if k.dim() >= 0 else [],
-        "diagnostics": [
-            {"kind": d.kind, "message": d.message,
-             "face": list(d.face) if d.face is not None else None,
-             "vertex": d.vertex}
-            for d in diagnostics],
+        "diagnostics": _diagnostic_entries(diagnostics),
     }
     rows = [(d.kind, d.message) for d in diagnostics] or [("ok", "no findings")]
     _emit(args, payload, rows)
@@ -265,11 +268,7 @@ def _cmd_toric(args) -> int:
     if diagnostics:
         payload = {
             "valid": False,
-            "diagnostics": [
-                {"kind": d.kind, "message": d.message,
-                 "face": list(d.face) if d.face is not None else None,
-                 "vertex": d.vertex}
-                for d in diagnostics],
+            "diagnostics": _diagnostic_entries(diagnostics),
         }
         _emit(args, payload, [(d.kind, d.message) for d in diagnostics])
         return EXIT_INPUT

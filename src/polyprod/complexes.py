@@ -220,12 +220,12 @@ class SimplicialComplex:
 
     # shiftedness -------------------------------------------------------
 
-    def is_shifted(self, labeling: Sequence[int] | None = None,
-                   bound: int = SHIFTED_SEARCH_BOUND):
+    def is_shifted(self, labeling: Sequence[int] | None = None):
         """Search for a vertex relabelling making K shifted.
 
         Returns ShiftedVerdict.  With an explicit labeling only that one is
-        checked; otherwise all m! relabellings are tried (m <= bound).
+        checked; otherwise all m! relabellings are tried
+        (m <= SHIFTED_SEARCH_BOUND).
         labeling[i-1] is the new label of vertex i.
         """
         if labeling is not None:
@@ -234,9 +234,10 @@ class SimplicialComplex:
                 raise InputError("labeling must be a permutation of 1..m")
             bad = self._shift_violation(perm)
             return ShiftedVerdict(bad is None, perm if bad is None else None, bad)
-        if self.m > bound:
+        if self.m > SHIFTED_SEARCH_BOUND:
             raise SearchBoundExceeded(
-                f"shifted search over {self.m}! labelings exceeds bound m <= {bound}")
+                f"shifted search over {self.m}! labelings exceeds bound "
+                f"m <= {SHIFTED_SEARCH_BOUND}")
         identity_violation = None
         for perm in permutations(range(1, self.m + 1)):
             bad = self._shift_violation(perm)

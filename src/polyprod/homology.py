@@ -12,7 +12,8 @@ and column (a Smith pivot), in order of size and then of Markowitz fill.
 Homology and the plain Smith form run the kernel on what is left, a
 remainder in which no entry divides its row and column; the witnessed Smith
 form runs it on the augmented matrix [A | I ; I | 0] and reads U and V off
-the identity blocks.
+the identity blocks.  The kernel returns the Smith form itself, a
+diagonal d1 | d2 | ....
 
 A chain complex is only its dims and boundaries: a basis cell has no name
 beyond its degree and its index in that degree.
@@ -96,21 +97,6 @@ def invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     return tuple(slots)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 # -- Smith normal form --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -132,7 +118,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
     V (cols x cols) are returned such that U * matrix * V is diagonal with
     the invariant factors on the diagonal.  Both modes finish in the same
     dense kernel, _diagonalize: with transforms it runs on the augmented
-    matrix [A | I ; I | 0], whose identity blocks record U and V.
+    matrix [A | I ; I | 0], whose identity blocks record U and V, and its
+    diagonal is read off as the kernel returns it.
     """
     rows = [list(map(int, r)) for r in matrix]
     n_rows = len(rows)
@@ -152,23 +139,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
     m = [row + [int(i == k) for k in range(n_rows)] for i, row in enumerate(rows)]
     m += [[int(i == j) for j in range(n_cols)] + [0] * n_rows
           for i in range(n_cols)]
-    t = len(_diagonalize(m, n_rows, n_cols))
-    # enforce the divisibility chain d_i | d_j with 2x2 unimodular blocks
-    for i in range(t):
-        for j in range(i + 1, t):
-            a, b = m[i][i], m[j][j]
-            if b % a == 0:
-                continue
-            for row in m:
-                row[i] += row[j]
-            g, s, tt = _xgcd(a, b)
-            row_i, row_j = m[i], m[j]
-            m[i] = [s * x + tt * y for x, y in zip(row_i, row_j)]
-            m[j] = [(-b // g) * x + (a // g) * y for x, y in zip(row_i, row_j)]
-            q = m[i][j] // g
-            for row in m:
-                row[j] -= q * row[i]
-    return SmithNormalForm(tuple(m[i][i] for i in range(t)), t,
+    diag = tuple(_diagonalize(m, n_rows, n_cols))
+    return SmithNormalForm(diag, len(diag),
                            tuple(tuple(r[n_cols:]) for r in m[:n_rows]),
                            tuple(tuple(r[:n_cols]) for r in m[n_rows:]))
 
@@ -177,11 +149,13 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
     """Diagonal orders of the matrix under unimodular row/column operations.
 
     Values come back unsorted and without divisibility structure; feed them
-    to invariant_factors for the canonical chain.  The sparse phase pivots
-    in (|p|, Markowitz fill) order: units on a min-fill heap as they appear
-    and, each time no unit is left, every entry p with |p| equal to the gcd
-    of its row and of its column.  Such a p divides its row and its column,
-    so the matrix is equivalent to (p) + A' and p is one diagonal order.
+    to invariant_factors for the canonical chain.  The sparse phase pops
+    pivots from one heap in (|p|, Markowitz fill) order.  Units go in at
+    the start and as they appear; each time the heap runs dry it is
+    refilled with every entry p with |p| equal to the gcd of its row and of
+    its column, and the phase ends when none is left.  Such a p divides its
+    row and its column, so the matrix is equivalent to (p) + A' and p is
+    one diagonal order.
     A queued candidate q whose value has not changed still qualifies when
     it is popped: each pivot p subtracts (a/p) * (pivot row) from every
     row with an entry a in the pivot column.  In q's row q divides a, and
@@ -195,33 +169,26 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
         for i, val in col.items():
             row_data.setdefault(i, {})[j] = val
             col_data.setdefault(j, {})[i] = val
-    units: list[tuple[int, int, int]] = []
-    for i, row in row_data.items():
-        for j, val in row.items():
-            if val == 1 or val == -1:
-                units.append(((len(row) - 1) * (len(col_data[j]) - 1), i, j))
-    heapq.heapify(units)
-    smith: list[tuple[int, int, int, int]] = []
+    # (|p|, Markowitz fill, row, col); units go in as they appear
+    queue = [(1, (len(row) - 1) * (len(col_data[j]) - 1), i, j)
+             for i, row in row_data.items()
+             for j, val in row.items() if val == 1 or val == -1]
+    heapq.heapify(queue)
     orders: list[int] = []
     while True:
-        if units:
-            _, pi, pj = heapq.heappop(units)
-            p = 1
-        elif smith:
-            p, _, pi, pj = heapq.heappop(smith)
-        else:
+        if not queue:
             # no unit is left: queue every entry dividing its row and column
             col_gcd = {j: gcd(*col.values()) for j, col in col_data.items()}
             for i, row in row_data.items():
                 g = gcd(*row.values())
                 for j, val in row.items():
                     if (val == g or val == -g) and col_gcd[j] == g:
-                        smith.append(
+                        queue.append(
                             (g, (len(row) - 1) * (len(col_data[j]) - 1), i, j))
-            if not smith:
+            if not queue:
                 break
-            heapq.heapify(smith)
-            continue
+            heapq.heapify(queue)
+        p, _, pi, pj = heapq.heappop(queue)
         prow = row_data.get(pi)
         if prow is None:
             continue
@@ -242,9 +209,8 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
                     target[j2] = new
                     col_data[j2][i2] = new
                     if new == 1 or new == -1:
-                        heapq.heappush(
-                            units,
-                            ((len(target) - 1) * (len(col_data[j2]) - 1), i2, j2))
+                        heapq.heappush(queue, (
+                            1, (len(target) - 1) * (len(col_data[j2]) - 1), i2, j2))
                 elif j2 in target:
                     del target[j2]
                     del col_data[j2][i2]
@@ -272,12 +238,16 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
 
 
 def _diagonalize(m: list[list[int]], n_rows: int, n_cols: int) -> list[int]:
-    """Diagonalize the top-left n_rows x n_cols block of m in place.
+    """Bring the top-left n_rows x n_cols block of m to Smith form in place.
 
-    Returns the positive diagonal values in pivot order.  Pivots are sought
-    in that block only, but row operations act on whole rows and column
-    operations on every row of m, so blocks bordering it record the
-    transforms (see smith_normal_form).
+    Returns the positive diagonal values in pivot order, d1 | d2 | ....
+    Once a pivot's row and column are clear, a row of the rest of the block
+    holding an entry the pivot does not divide is added to the pivot row,
+    and clearing again leaves a strictly smaller pivot; so each pivot ends
+    up dividing everything after it.  Pivots are sought in that block only,
+    but row operations act on whole rows and column operations on every row
+    of m, so blocks bordering it record the transforms (see
+    smith_normal_form).
     """
     orders = []
     t = 0
@@ -321,6 +291,15 @@ def _diagonalize(m: list[list[int]], n_rows: int, n_cols: int) -> list[int]:
                     if m[t][j]:
                         for row in m:
                             row[t], row[j] = row[j], row[t]
+                        moved = True
+                        break
+            if not moved and pivot != 1:
+                # row and column are clear: add in a row holding an entry
+                # the pivot does not divide, and the row pass leaves a
+                # strictly smaller pivot
+                for i in range(t + 1, n_rows):
+                    if any(x % pivot for x in m[i][t + 1:n_cols]):
+                        m[t] = [a + b for a, b in zip(m[t], m[i])]
                         moved = True
                         break
             if not moved:

@@ -63,7 +63,10 @@ def _build(name: str, cells, basepoint_id: str,
 
 
 def validate_pair(pair: PairModel) -> None:
-    """Raise InputError on a malformed model (see class docstring)."""
+    """Raise InputError on a malformed model (see class docstring).
+
+    A boundary lists each target once, with a nonzero coefficient.
+    """
     n = pair.n_cells()
     if not n:
         raise InputError("pair model has no cells")
@@ -80,6 +83,9 @@ def validate_pair(pair: PairModel) -> None:
         for t, coeff in bnd:
             if not 0 <= t < n:
                 raise InputError("boundary target out of range")
+            if not coeff:
+                raise InputError(
+                    f"cell {pair.cell_ids[i]} has a zero boundary coefficient")
             if pair.dims[t] != pair.dims[i] - 1:
                 raise InputError(
                     f"cell {pair.cell_ids[i]}: boundary target {pair.cell_ids[t]} "
@@ -87,6 +93,8 @@ def validate_pair(pair: PairModel) -> None:
             if pair.in_a[i] and not pair.in_a[t]:
                 raise InputError(
                     f"A is not a subcomplex: {pair.cell_ids[i]} hits {pair.cell_ids[t]}")
+        if len({t for t, _ in bnd}) != len(bnd):
+            raise InputError(f"cell {pair.cell_ids[i]} repeats a boundary target")
         if pair.dims[i] == 1 and sum(c for _, c in bnd) != 0:
             raise InputError(
                 f"1-cell {pair.cell_ids[i]} has boundary with nonzero vertex sum")

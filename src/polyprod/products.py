@@ -49,7 +49,6 @@ from .homology import (
     empty_chain_complex,
     homology,
     kunneth_product,
-    make_chain_complex,
     reduced_simplicial_homology,
     simplicial_chain_complex,
 )
@@ -141,6 +140,9 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
     direct sum of the blocks I = {i : c_i != *}, and block I is
     Zhat(K_I;(X,A)_I); block 0 is the single cell (*, ..., *).  basis
     "smash" is block [m] alone: * is left out of every coordinate's A-cells.
+    validate_pair also rules out zero coefficients and repeated boundary
+    targets, so every built column is free of zero entries and is stored
+    as it stands.
 
     The budget counts the cells to be enumerated, before any is built.
     Within a block the basis is ordered by degree, then by cell tuple.
@@ -178,14 +180,13 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
               for ci in range(p.n_cells())] for i, p in enumerate(pairs)]
     odd = [[d & 1 for d in p.dims] for p in pairs]
     blocks: dict[int, ChainComplex] = {}
-    # one block at a time, so only its cells are indexed and only its
-    # columns exist twice while make_chain_complex copies them
+    # one block at a time, so only its cells are indexed
     for block in sorted(by_block):
         by_degree = by_block.pop(block)
         for cells in by_degree.values():
             cells.sort()
         pos = {cell: i for cells in by_degree.values() for i, cell in enumerate(cells)}
-        boundaries: dict[int, list[dict[int, int]]] = {}
+        boundaries: dict[int, tuple[dict[int, int], ...]] = {}
         for d, cells in by_degree.items():
             cols = []
             for cell in cells:
@@ -200,8 +201,9 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
                     if odd[i][ci]:
                         sign = -sign
                 cols.append(col)
-            boundaries[d] = cols
-        blocks[block] = make_chain_complex(
+            if any(cols):
+                boundaries[d] = tuple(cols)
+        blocks[block] = ChainComplex(
             {d: len(cells) for d, cells in by_degree.items()}, boundaries)
     return blocks
 
@@ -239,7 +241,6 @@ def moment_angle_blocks(k: SimplicialComplex, pairs: Sequence[PairModel],
 
 def stable_splitting(k: SimplicialComplex, pairs: Sequence[PairModel],
                      budget: int = DEFAULT_CELL_BUDGET,
-                     subset_bound: int = SPLITTING_SUBSET_BOUND,
                      job_map: MapFn | None = None) -> SplittingResult:
     """Reduced homology of Z against the direct sum over nonempty subsets I
     of the reduced homology of Zhat(K_I); verified is the exact comparison.
@@ -248,9 +249,9 @@ def stable_splitting(k: SimplicialComplex, pairs: Sequence[PairModel],
     cellular model, eliminated as one matrix per degree.
     """
     pairs = _check_arity(k, pairs)
-    if k.m > subset_bound:
-        raise SearchBoundExceeded(
-            f"splitting enumerates 2^{k.m} subsets; bound is m <= {subset_bound}")
+    if k.m > SPLITTING_SUBSET_BOUND:
+        raise SearchBoundExceeded(f"splitting enumerates 2^{k.m} subsets; "
+                                  f"bound is m <= {SPLITTING_SUBSET_BOUND}")
     blocks = moment_angle_blocks(k, pairs, budget)
     masks = sorted(range(1, 1 << k.m), key=face_sort_key)
     empty = empty_chain_complex()

@@ -53,17 +53,6 @@ def poly_pow(a: Sequence[int], k: int) -> tuple[int, ...]:
     return out
 
 
-def poly_substitute_power(a: Sequence[int], d: int) -> tuple[int, ...]:
-    """p(t) -> p(t^d)."""
-    if d < 1:
-        raise SeriesError("substitution power must be >= 1")
-    out = [0] * (len(a) * d)
-    for i, x in enumerate(a):
-        if x:
-            out[i * d] = x
-    return poly_trim(out)
-
-
 def poly_divmod_exact(num: Sequence[int], den: Sequence[int]):
     """(quotient, remainder) of integer polynomial division; needs den[0] = +-1.
 

@@ -1,10 +1,11 @@
 """Face rings: ideal presentations and exact Hilbert series.
 
 The face ring of K over m degree-d generators has a monomial basis indexed
-by pairs (face, positive exponent vector on that face), which gives the
-closed-form Hilbert series  sum_{I in K} (t^d / (1 - t^d))^{|I|}.  The
-generalized form replaces each generator's geometric series by an arbitrary
-reduced Poincare series.
+by pairs (face, positive exponent vector on that face), which is the
+paper's additive decomposition  sum_{I in K} (t^d / (1 - t^d))^{|I|}:  one
+plus the reduced Poincare series of the polyhedral product whose every X_i
+has the reduced series t^d / (1 - t^d).  The generalized form replaces each
+generator's geometric series by an arbitrary reduced Poincare series.
 """
 
 from __future__ import annotations
@@ -15,14 +16,8 @@ from typing import Sequence
 
 from .complexes import SimplicialComplex, vertices_from_mask
 from .errors import InputError
-from .products import contractible_A_series
-from .series import (
-    RationalSeries,
-    geometric_denominator,
-    poly_add,
-    poly_mul,
-    poly_substitute_power,
-)
+from .products import contractible_A_series, poincare_polynomial
+from .series import RationalSeries, geometric_denominator
 
 
 @dataclass(frozen=True)
@@ -52,20 +47,15 @@ def sr_presentation(k: SimplicialComplex, degree: int = 2) -> IdealPresentation:
 def sr_hilbert_series(k: SimplicialComplex, degree: int = 2) -> RationalSeries:
     """Hilbert series of the face ring with all generators in the given degree.
 
-    Computed in closed form over the common denominator (1 - t^d)^n with
-    n = dim K + 1:  numerator = sum_k f_{k-1} s^k (1 - s)^{n-k}, s = t^d.
+    1 + sum over nonempty faces of (t^d / (1 - t^d))^{|I|}: one plus the
+    poincare_polynomial of K at the reduced series t^d / (1 - t^d), over
+    the common denominator (1 - t^d)^n with n = dim K + 1.
     """
     if degree < 1:
         raise InputError("generator degree must be positive")
-    n = k.dim() + 1
-    f = (1,) + k.f_vector()
-    num_in_s: tuple[int, ...] = ()
-    for card in range(n + 1):
-        term = poly_mul((0,) * card + (f[card],),
-                        geometric_denominator(1, n - card))
-        num_in_s = poly_add(num_in_s, term)
-    return RationalSeries.make(poly_substitute_power(num_in_s, degree),
-                               geometric_denominator(degree, n))
+    generator = RationalSeries.make((0,) * degree + (1,),
+                                    geometric_denominator(degree, 1))
+    return RationalSeries.one() + poincare_polynomial(k, generator)
 
 
 def generalized_sr_series(k: SimplicialComplex,

@@ -239,6 +239,19 @@ def test_smith_transforms_on_degenerate_shapes():
             (diagonal, len(diagonal), u, v), a
 
 
+def test_witnessed_smith_form_of_diagonals_that_are_no_chain():
+    # no divisibility chain as given: the dense kernel must reach d1 | d2
+    for a, diagonal in (([[2, 0], [0, 3]], (1, 6)),
+                        ([[4, 0], [0, 6]], (2, 12)),
+                        ([[2, 3]], (1,))):
+        snf = smith_normal_form(a, with_transforms=True)
+        assert snf.diagonal == diagonal and snf.rank == len(diagonal), a
+        d = mat_mul(mat_mul([list(r) for r in snf.u], a), [list(r) for r in snf.v])
+        assert d == [[diagonal[i] if i == j and i < len(diagonal) else 0
+                      for j in range(len(a[0]))] for i in range(len(a))], a
+        assert abs(det(snf.u)) == abs(det(snf.v)) == 1, a
+
+
 _BIG_PRIME = 100000000000000000039
 _entry_kinds = (
     st.integers(-9, 9),
@@ -267,6 +280,16 @@ def test_smith_normal_form_matches_sympy_in_both_modes(a):
     assert d == [[witnessed.diagonal[i] if i == j and i < witnessed.rank else 0
                   for j in range(len(a[0]))] for i in range(len(a))]
     assert abs(det(witnessed.u)) == abs(det(witnessed.v)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dense_matrices())
+def test_dense_kernel_returns_the_divisibility_chain(a):
+    expected = sympy_smith_normal_form(Matrix(a), domain=ZZ)
+    factors = sorted(abs(int(expected[i, i]))
+                     for i in range(min(len(a), len(a[0]))) if expected[i, i])
+    m = [list(row) for row in a]
+    assert homology_module._diagonalize(m, len(a), len(a[0])) == factors
 
 
 @st.composite

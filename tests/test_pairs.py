@@ -162,3 +162,12 @@ def test_validate_pair_rejects_broken_models():
     with pytest.raises(InputError):
         validate_pair(bad4)
 
+    # product columns are built from boundary lists as they stand, so each
+    # target appears once and with a nonzero coefficient
+    rp2 = dict(name="rp2", dims=(0, 1, 2), in_a=(True,) * 3, basepoint=0,
+               cell_ids=("v", "e", "f"), null_homotopic_inclusion=False)
+    validate_pair(PairModel(boundaries=((), (), ((1, 2),)), **rp2))
+    with pytest.raises(InputError, match="zero boundary coefficient"):
+        validate_pair(PairModel(boundaries=((), (), ((1, 0),)), **rp2))
+    with pytest.raises(InputError, match="repeats a boundary target"):
+        validate_pair(PairModel(boundaries=((), (), ((1, 1), (1, 1))), **rp2))

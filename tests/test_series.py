@@ -12,7 +12,6 @@ from polyprod.series import (
     poly_divmod_exact,
     poly_mul,
     poly_pow,
-    poly_substitute_power,
     poly_trim,
 )
 
@@ -25,12 +24,6 @@ def test_poly_basics():
     assert poly_mul((), (1, 2)) == ()
     assert poly_pow((1, 1), 3) == (1, 3, 3, 1)
     assert poly_pow((2,), 0) == (1,)
-
-
-def test_poly_substitute_power():
-    # p(t) -> p(t^d)
-    assert poly_substitute_power((1, 2, 3), 2) == (1, 0, 2, 0, 3)
-    assert poly_substitute_power((5,), 7) == (5,)
 
 
 def test_poly_divmod_exact():
