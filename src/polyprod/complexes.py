@@ -176,15 +176,20 @@ class SimplicialComplex:
     # subcomplexes ------------------------------------------------------
 
     def full_subcomplex(self, subset: Iterable[int]) -> "SimplicialComplex":
-        """K_I = { sigma /\\ I }, re-labeled 1..|I| preserving vertex order."""
+        """K_I = {sigma in K : sigma is a subset of I}, relabeled 1..|I|.
+
+        The i-th smallest vertex of I becomes vertex i.  Only the faces
+        inside I are kept and relabeled; on a downward-closed K this is
+        the same set as {sigma /\\ I : sigma in K}.
+        """
         sel = sorted(set(subset))
         sel_mask = mask_from_vertices(sel, self.m)
-        positions = {v: i for i, v in enumerate(sel)}
-        new_faces = set()
-        for mask in self.faces:
-            inter = mask & sel_mask
-            new_faces.add(_compress_mask(inter, positions))
-        return SimplicialComplex.from_faces(len(sel), new_faces)
+        labels = [0] * self.m
+        for i, v in enumerate(sel, start=1):
+            labels[v - 1] = i
+        return SimplicialComplex.from_faces(
+            len(sel), (_relabel_mask(mask, labels)
+                       for mask in self.faces if mask | sel_mask == sel_mask))
 
     def skeleton(self, q: int) -> "SimplicialComplex":
         """Faces of cardinality <= q+1.  q = -1 gives the {empty} complex."""
@@ -358,14 +363,7 @@ def _maximal_of(faces) -> tuple[int, ...]:
     return sorted_faces(maximal)
 
 
-def _compress_mask(mask: int, positions: dict[int, int]) -> int:
-    out = 0
-    for v in vertices_from_mask(mask):
-        out |= 1 << positions[v]
-    return out
-
-
-def _relabel_mask(mask: int, perm: tuple[int, ...]) -> int:
+def _relabel_mask(mask: int, perm: Sequence[int]) -> int:
     out = 0
     for v in vertices_from_mask(mask):
         out |= 1 << (perm[v - 1] - 1)

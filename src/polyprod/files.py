@@ -34,6 +34,11 @@ def _no_duplicate_keys(pairs):
     return out
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_complex_text(text: str, source: str = "<string>") -> SimplicialComplex:
     m: int | None = None
     faces: list[tuple[int, ...]] = []
@@ -45,7 +50,8 @@ def parse_complex_text(text: str, source: str = "<string>") -> SimplicialComplex
         if directive == "m":
             if m is not None:
                 raise InputError(f"{where}: duplicate m directive")
-            if len(rest) != 1 or not rest[0].isdigit() or int(rest[0]) < 1:
+            # isdecimal, not isdigit: int() refuses digits like '²'
+            if len(rest) != 1 or not rest[0].isdecimal() or int(rest[0]) < 1:
                 raise InputError(f"{where}: m needs one positive integer")
             m = int(rest[0])
         elif directive == "face":
@@ -85,7 +91,7 @@ def parse_complex_json(text: str, source: str = "<string>") -> SimplicialComplex
         raise InputError(f"{source}: unknown keys {sorted(unknown)}")
     m = data.get("m")
     raw_faces = data.get("maximal_faces")
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise InputError(f"{source}: \"m\" must be a positive integer")
     if not isinstance(raw_faces, list):
         raise InputError(f"{source}: \"maximal_faces\" must be a list of vertex lists")
@@ -93,7 +99,7 @@ def parse_complex_json(text: str, source: str = "<string>") -> SimplicialComplex
     seen = set()
     for entry in raw_faces:
         if (not isinstance(entry, list) or not entry
-                or not all(isinstance(v, int) for v in entry)):
+                or not all(_is_int(v) for v in entry)):
             raise InputError(f"{source}: each face must be a nonempty integer list")
         verts = tuple(sorted(entry))
         if len(set(verts)) != len(verts):
@@ -143,10 +149,10 @@ def parse_characteristic_json(text: str, source: str = "<string>") -> Characteri
         raise InputError(f"{source}: unknown keys {sorted(unknown)}")
     n = data.get("n")
     rows = data.get("rows")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError(f"{source}: \"n\" must be a positive integer")
     if (not isinstance(rows, list) or not rows
-            or not all(isinstance(r, list) and all(isinstance(x, int) for x in r)
+            or not all(isinstance(r, list) and all(_is_int(x) for x in r)
                        for r in rows)):
         raise InputError(f"{source}: \"rows\" must be a list of integer lists")
     if any(len(r) != n for r in rows):

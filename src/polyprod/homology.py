@@ -542,20 +542,21 @@ def simplicial_chain_complex(k: SimplicialComplex,
                              reduced: bool = False) -> ChainComplex:
     """Cellular chains of a simplicial complex, ordered by face mask.
 
-    reduced=True adds the empty face as a degree -1 cell, so homology of the
-    result is reduced homology; the {empty} complex then has H_{-1} = Z.
+    reduced=True keeps the empty face as the degree -1 cell, so homology of
+    the result is reduced homology; the {empty} complex then has H_{-1} = Z.
     """
+    lowest = -1 if reduced else 0
     by_degree: dict[int, list[int]] = {}
     for mask in sorted(k.faces):
-        card = mask.bit_count()
-        if card:
-            by_degree.setdefault(card - 1, []).append(mask)
+        d = mask.bit_count() - 1
+        if d >= lowest:
+            by_degree.setdefault(d, []).append(mask)
     index = {d: {mask: i for i, mask in enumerate(masks)}
              for d, masks in by_degree.items()}
     dims = {d: len(masks) for d, masks in by_degree.items()}
     boundaries: dict[int, list[dict[int, int]]] = {}
     for d, masks in by_degree.items():
-        if d == 0:
+        if d == lowest:
             continue
         cols = []
         for mask in masks:
@@ -565,23 +566,16 @@ def simplicial_chain_complex(k: SimplicialComplex,
                 col[index[d - 1][sub]] = 1 if pos % 2 == 0 else -1
             cols.append(col)
         boundaries[d] = cols
-    cc = make_chain_complex(dims, boundaries)
-    if reduced:
-        cc = augmented(cc)
-    return cc
-
-
-_simplicial_homology_memo: dict[tuple[int, frozenset[int]], HomologySummary] = {}
+    return make_chain_complex(dims, boundaries)
 
 
 def reduced_simplicial_homology(k: SimplicialComplex) -> HomologySummary:
-    """Reduced homology of a complex, memoized on the exact face set."""
-    key = (k.m, k.faces)
-    cached = _simplicial_homology_memo.get(key)
-    if cached is None:
-        cached = homology(simplicial_chain_complex(k, reduced=True))
-        _simplicial_homology_memo[key] = cached
-    return cached
+    """Reduced integral homology of |K|, from its reduced simplicial chains.
+
+    Nothing is cached: a caller that meets the same complex twice
+    deduplicates it itself, as hochster_homology does.
+    """
+    return homology(simplicial_chain_complex(k, reduced=True))
 
 
 # -- constructions ------------------------------------------------------------

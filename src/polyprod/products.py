@@ -50,7 +50,6 @@ from .homology import (
     homology,
     kunneth_product,
     reduced_simplicial_homology,
-    simplicial_chain_complex,
 )
 from .pairs import PairModel, pair_chain
 from .series import RationalSeries, poly_add, poly_mul, poly_pow
@@ -267,14 +266,6 @@ def stable_splitting(k: SimplicialComplex, pairs: Sequence[PairModel],
 # -- Hochster-type formula for (D^{n+1}, S^n) -------------------------------------
 
 
-def _hochster_task(args) -> tuple[tuple[int, ...], int, HomologySummary]:
-    k, mask, dims = args
-    verts = vertices_from_mask(mask)
-    shift_by = 1 + sum(dims[v - 1] for v in verts)
-    h = reduced_simplicial_homology(k.full_subcomplex(verts))
-    return verts, shift_by, h.shifted(shift_by)
-
-
 def hochster_homology(k: SimplicialComplex, n: int | Sequence[int],
                       job_map: MapFn | None = None
                       ) -> tuple[HomologySummary, tuple[SplitSummand, ...]]:
@@ -284,7 +275,9 @@ def hochster_homology(k: SimplicialComplex, n: int | Sequence[int],
     Subsets that are faces contribute nothing (K_I is then a full simplex),
     so only the non-faces are enumerated.  `n` may also be one sphere
     dimension per vertex, in which case a subset I is shifted up by
-    1 + sum of its dimensions.
+    1 + sum of its dimensions.  Many non-faces have equal relabeled K_I, so
+    the distinct ones are collected first and `job_map` computes each one's
+    reduced homology once; nothing is kept across calls.
     """
     dims = tuple(n for _ in range(k.m)) if isinstance(n, int) else tuple(n)
     if len(dims) != k.m:
@@ -295,14 +288,18 @@ def hochster_homology(k: SimplicialComplex, n: int | Sequence[int],
         raise SearchBoundExceeded(f"m = {k.m} exceeds {MAX_ENUMERATION_VERTICES}")
     masks = sorted((mask for mask in range(1, 1 << k.m) if mask not in k.faces),
                    key=face_sort_key)
-    tasks = [(k, mask, dims) for mask in masks]
-    results = list((job_map or map)(_hochster_task, tasks))
-    summands = tuple(
-        SplitSummand(verts,
-                     f"K_{_subset_label(verts)} shifted by {shift_by}", h)
-        for verts, shift_by, h in results)
+    subsets = [vertices_from_mask(mask) for mask in masks]
+    subcomplexes = [k.full_subcomplex(verts) for verts in subsets]
+    distinct = list(dict.fromkeys(subcomplexes))
+    reduced = dict(zip(distinct, (job_map or map)(reduced_simplicial_homology, distinct)))
+    summands = []
+    for verts, sub in zip(subsets, subcomplexes):
+        shift_by = 1 + sum(dims[v - 1] for v in verts)
+        summands.append(SplitSummand(verts,
+                                     f"K_{_subset_label(verts)} shifted by {shift_by}",
+                                     reduced[sub].shifted(shift_by)))
     total = direct_sum(s.homology for s in summands)
-    return total, summands
+    return total, tuple(summands)
 
 
 # -- wedge decomposition over faces (null-homotopic inclusions) -------------------
@@ -374,8 +371,7 @@ def _join_homology(left: SimplicialComplex,
     homology and no product complex is built.  An acyclic smash gives an
     acyclic join, whatever left is.
     """
-    link = homology(simplicial_chain_complex(left, reduced=True))
-    return kunneth_product(link, smash).shifted(1)
+    return kunneth_product(reduced_simplicial_homology(left), smash).shifted(1)
 
 
 # -- contractible X: join model ----------------------------------------------------

@@ -88,6 +88,26 @@ def test_json_parser_rejects_malformed_payloads():
         parse_complex_json('{"m": 2, "maximal_faces": [[1], [1]]}')
 
 
+@pytest.mark.parametrize("payload", [
+    {"m": True, "maximal_faces": [[1]]},
+    {"m": 2, "maximal_faces": [[True]]},
+    {"m": 2, "maximal_faces": [[True, 2]]},
+])
+def test_json_complex_parser_rejects_booleans_as_integers(payload):
+    with pytest.raises(InputError):
+        parse_complex_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": True, "rows": [[1], [-1]]},
+    {"n": 1, "rows": [[True], [-1]]},
+    {"n": 2, "rows": [[1, False], [0, 1]]},
+])
+def test_json_characteristic_parser_rejects_booleans_as_integers(payload):
+    with pytest.raises(InputError):
+        parse_characteristic_json(json.dumps(payload))
+
+
 def test_load_complex_sniffs_format(tmp_path):
     t = tmp_path / "k.cx"
     t.write_text(SQUARE_TEXT)
@@ -194,6 +214,17 @@ def test_missing_file_is_an_input_error(capsys):
     code, out, err = run(capsys, "validate", "/nonexistent/k.cx")
     assert code == 1
     assert err != ""
+
+
+@pytest.mark.parametrize("command", [["validate"], ["hochster", "--n", "1"]])
+def test_m_directive_with_a_non_ascii_digit_is_an_input_error(capsys, tmp_path, command):
+    # '²' passes str.isdigit() yet int() refuses it
+    bad = tmp_path / "superscript.cx"
+    bad.write_text("m \u00b2\nface 1\n", encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "m needs one positive integer" in err
+    assert "Traceback" not in err
 
 
 def test_malformed_usage_exits_one(capsys):

@@ -99,6 +99,26 @@ def test_full_subcomplex_relabels_and_keeps_names():
     assert edge.has_face((1, 2))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_full_subcomplex_is_the_relabeled_faces_inside_the_subset(m):
+    for k in all_complexes_on(m, up_to_iso=False):
+        for mask in range(1 << m):
+            verts = vertices_from_mask(mask)
+            label = {v: i for i, v in enumerate(verts, start=1)}
+            expected = {tuple(label[v] for v in face)
+                        for face in k.face_tuples() if set(face) <= set(verts)}
+            sub = k.full_subcomplex(verts)
+            assert sub.m == len(verts)
+            assert set(sub.face_tuples()) == expected, (k.face_tuples(), verts)
+
+
+def test_full_subcomplex_of_a_face_set_that_is_not_closed():
+    # the edge {1,2} without its vertices: no face lies inside {1}, so K_{1}
+    # is {empty}, not {sigma /\ I} = {empty, {1}}
+    sub = SimplicialComplex.from_faces(2, {0b11}).full_subcomplex((1,))
+    assert sub == SimplicialComplex.from_faces(1, {0})
+
+
 def test_skeleton_free_function_matches_method():
     k = simplex(4)
     assert skeleton(4, 1).faces == k.skeleton(1).faces

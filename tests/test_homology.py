@@ -399,11 +399,6 @@ def test_projective_plane_torsion():
     assert full.torsion(1) == (2,)
 
 
-def test_reduced_homology_memoization_is_stable():
-    k = projective_plane()
-    assert reduced_simplicial_homology(k) is reduced_simplicial_homology(k)
-
-
 def test_euler_characteristic_matches_alternating_betti():
     rng = random.Random(31)
     for _ in range(25):

@@ -51,6 +51,7 @@ from polyprod.pairs import (
     simplicial_space,
     sphere_pair,
 )
+import polyprod.products as products_module
 from polyprod.products import (
     SphereList,
     contractible_A_series,
@@ -364,6 +365,28 @@ def test_hochster_ghost_vertex_contributes_a_shifted_unit():
     oracle = homology(moment_angle_chain(k, [ds(1)] * 2), reduced=True)
     assert total == oracle
     assert total.betti(1) == 1
+
+
+@pytest.mark.parametrize("job_map", [None, lambda f, xs: [f(x) for x in xs]],
+                         ids=["serial", "list-job-map"])
+def test_hochster_computes_each_distinct_full_subcomplex_once(monkeypatch, job_map):
+    calls = []
+
+    def spy(k):
+        calls.append(k)
+        return reduced_simplicial_homology(k)
+
+    monkeypatch.setattr(products_module, "reduced_simplicial_homology", spy)
+    for k in (square(), random_complex(random.Random(5), 7)):
+        non_faces = [vertices_from_mask(mask) for mask in range(1, 1 << k.m)
+                     if mask not in k.faces]
+        distinct = {k.full_subcomplex(verts) for verts in non_faces}
+        assert len(distinct) < len(non_faces)
+        for _ in range(2):      # a second call recomputes: nothing carries over
+            calls.clear()
+            _, summands = hochster_homology(k, 1, job_map=job_map)
+            assert set(calls) == distinct and len(calls) == len(distinct)
+            assert len(summands) == len(non_faces)
 
 
 def test_hochster_rejects_negative_n():
