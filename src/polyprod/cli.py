@@ -110,11 +110,15 @@ def _emit_splitting(args, result: SplittingResult) -> int:
     return EXIT_OK if result.verified else EXIT_MISMATCH
 
 
-def _job_count(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _with_job_map(jobs: int, fn: Callable):
@@ -159,11 +163,14 @@ def _cmd_homology(args) -> int:
         chain = smash_moment_angle_chain(k, pairs, args.budget)
         cells, summary = chain.total_cells(), homology(chain)
     else:
-        # H(Z) block by block; block 0 is the basepoint cell, the Z in degree 0
-        blocks = moment_angle_blocks(k, pairs, args.budget)
-        cells = sum(c.total_cells() for c in blocks.values())
-        summary = direct_sum(homology(c) for mask, c in blocks.items()
-                             if mask or not args.reduced)
+        # H(Z) block by block, each reduced as it is built and then dropped;
+        # block 0 is the basepoint cell, the Z in degree 0
+        cells, parts = 0, []
+        for mask, block in moment_angle_blocks(k, pairs, args.budget):
+            cells += block.total_cells()
+            if mask or not args.reduced:
+                parts.append(homology(block))
+        summary = direct_sum(parts)
     payload = {
         "smash": bool(args.smash),
         "reduced": bool(args.reduced or args.smash),
@@ -343,7 +350,7 @@ def build_parser() -> _Parser:
                            help="disk-sphere:N | cone:FILE:V | based:FILE:V "
                                 "(one spec broadcasts to all vertices)")
         if jobs:
-            p.add_argument("--jobs", type=_job_count, default=1,
+            p.add_argument("--jobs", type=_positive_int, default=1,
                            help="worker processes for per-subset computations "
                                 "(at most one per CPU)")
         if budget:
@@ -393,7 +400,9 @@ def build_parser() -> _Parser:
     p = add("poincare", _cmd_poincare,
             "reduced Poincare series of the product with one sphere family",
             trunc=True)
-    p.add_argument("--n", type=int, required=True, help="sphere dimension of X")
+    # S^0 has a nonzero reduced series in degree 0, which the formula refuses
+    p.add_argument("--n", type=_positive_int, required=True,
+                   help="sphere dimension of X (at least 1)")
 
     add("sr", _cmd_sr, "face-ring presentation and Hilbert series",
         trunc=True, degree=True)

@@ -13,7 +13,9 @@ Homology and the plain Smith form run the kernel on what is left, a
 remainder in which no entry divides its row and column; the witnessed Smith
 form runs it on the augmented matrix [A | I ; I | 0] and reads U and V off
 the identity blocks.  The kernel returns the Smith form itself, a
-diagonal d1 | d2 | ....
+diagonal d1 | d2 | ....  Homology eliminates the boundaries from the top
+degree down, and each one leaves out the columns that the sparse phase one
+degree up has already paired (clearing; see homology).
 
 A chain complex is only its dims and boundaries: a basis cell has no name
 beyond its degree and its index in that degree.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .complexes import SimplicialComplex, vertices_from_mask
 from .errors import (
@@ -132,7 +134,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
             for j, val in enumerate(row):
                 if val:
                     cols[j][i] = val
-        orders = _elimination_orders(cols)
+        orders, _ = _elimination_orders(cols)
         chain = invariant_factors(orders)
         diag = (1,) * (len(orders) - len(chain)) + chain
         return SmithNormalForm(diag, len(orders))
@@ -145,8 +147,20 @@ def smith_normal_form(matrix: Sequence[Sequence[int]],
                            tuple(tuple(r[:n_cols]) for r in m[n_rows:]))
 
 
-def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
-    """Diagonal orders of the matrix under unimodular row/column operations.
+def _elimination_orders(cols: Sequence[Mapping[int, int]],
+                        cleared: Container[int] = ()) -> tuple[list[int], set[int]]:
+    """Diagonal orders of the matrix under unimodular row/column operations,
+    and the rows of its sparse-phase pivots.
+
+    The columns indexed by `cleared` are left out, and only the first loop
+    looks at them, so no column list is copied.  homology passes the
+    sparse pivot rows of the boundary one degree up: a sparse pivot p at
+    row i leaves every other row's basis vector as it was and maps onto
+    p * v_i, so the next boundary kills v_i and its column there is zero
+    (the full argument is in homology).  The returned rows are those
+    sparse pivots only; the dense kernel's row additions change the basis
+    vectors of rows that may end as non-pivots, so none of its rows is
+    returned.
 
     Values come back unsorted and without divisibility structure; feed them
     to invariant_factors for the canonical chain.  The sparse phase pops
@@ -166,6 +180,8 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
     row_data: dict[int, dict[int, int]] = {}
     col_data: dict[int, dict[int, int]] = {}
     for j, col in enumerate(cols):
+        if j in cleared:
+            continue
         for i, val in col.items():
             row_data.setdefault(i, {})[j] = val
             col_data.setdefault(j, {})[i] = val
@@ -175,6 +191,7 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
              for j, val in row.items() if val == 1 or val == -1]
     heapq.heapify(queue)
     orders: list[int] = []
+    pivot_rows: set[int] = set()
     while True:
         if not queue:
             # no unit is left: queue every entry dividing its row and column
@@ -225,6 +242,7 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
                 del col_data[j2]
         del row_data[pi]
         orders.append(p)
+        pivot_rows.add(pi)
     if row_data:
         live_rows = sorted(row_data)
         live_cols = sorted({j for row in row_data.values() for j in row})
@@ -234,7 +252,7 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]]) -> list[int]:
             for j, val in row_data[i].items():
                 dense[a][col_pos[j]] = val
         orders.extend(_diagonalize(dense, len(live_rows), len(live_cols)))
-    return orders
+    return orders, pivot_rows
 
 
 def _diagonalize(m: list[list[int]], n_rows: int, n_cols: int) -> list[int]:
@@ -516,19 +534,47 @@ def kunneth_product(a: HomologySummary, b: HomologySummary) -> HomologySummary:
     return HomologySummary.from_map(acc)
 
 
+def _boundary_orders(c: ChainComplex) -> dict[int, list[int]]:
+    """Diagonal orders of each nonzero boundary, from the top degree down.
+
+    The columns of boundary d at the sparse pivot rows of boundary d+1 are
+    cleared, that is left out (see homology for why that is sound).
+    """
+    orders: dict[int, list[int]] = {}
+    pivot_rows: set[int] = set()
+    for d in sorted(c.boundaries, reverse=True):
+        if c.dim(d - 1):
+            # pivot_rows are boundary d+1's only if it was the last one done
+            orders[d], pivot_rows = _elimination_orders(
+                c.boundaries[d], pivot_rows if d + 1 in orders else ())
+    return orders
+
+
 def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
     """Integral homology of a chain complex, with torsion.
 
     reduced=True augments at degree -1 unless the complex already carries an
     augmentation cell; it is only meaningful when every 0-cell is a point.
+
+    The boundaries are eliminated from the top degree down, and boundary d
+    skips the columns at the sparse pivot rows of boundary d+1 (clearing,
+    after Chen-Kerber's twist, carried from a field to Z).  Let p be such a
+    pivot, at row i and column j.  Each row operation R_r -= (a/p) * R_i is
+    exact and changes only the basis vector of the pivot row, so rows that
+    never become pivots keep their original basis vectors.  Once the sparse
+    phase is over, the boundary sends the new basis vector w_j to p * v_i,
+    so p * d(v_i) = d(d(w_j)) = 0, and d(v_i) = 0 since C_{d-1} is free.
+    Boundary d in the new basis of C_d is therefore zero on the v_i and
+    equal to the original columns elsewhere: the same invariant factors as
+    the original columns with the cleared ones left out.  Rows that reach
+    the dense kernel _diagonalize are not cleared, because its row
+    additions change the basis vectors of rows that may end as non-pivots.
+    Clearing only passes between adjacent degrees d+1 and d.
     """
     if reduced and -1 not in c.dims:
         c = augmented(c)
     check_boundaries(c)
-    orders: dict[int, list[int]] = {}
-    for d, cols in c.boundaries.items():
-        if c.dim(d - 1):
-            orders[d] = _elimination_orders(cols)
+    orders = _boundary_orders(c)
     result: dict[int, tuple[int, Iterable[int]]] = {}
     for d, n in c.dims.items():
         rank_down = len(orders.get(d, ()))

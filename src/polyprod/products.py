@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from math import comb
 from operator import getitem
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import (
     MAX_ENUMERATION_VERTICES,
@@ -128,11 +128,11 @@ def _check_arity(k: SimplicialComplex, pairs: Sequence[PairModel]) -> tuple[Pair
 
 
 def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
-                   budget: int, basis: str) -> dict[int, ChainComplex]:
-    """Chain complex of the Z(K;(X,A)) model as blocks keyed by vertex masks.
+                   budget: int, basis: str) -> Iterator[tuple[int, ChainComplex]]:
+    """Chain complex of the Z(K;(X,A)) model as (vertex mask, block) pairs.
 
     basis "cellular" is the tensor product of the pairs' cellular bases,
-    returned as one block under the full mask.  basis "split" replaces each
+    yielded as one block under the full mask.  basis "split" replaces each
     0-cell u other than a coordinate's basepoint * by u - *.  validate_pair
     makes the vertices of every 1-cell boundary sum to zero, so in the new
     basis a boundary only loses its entries on *.  The complex is then the
@@ -143,8 +143,11 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
     targets, so every built column is free of zero entries and is stored
     as it stands.
 
-    The budget counts the cells to be enumerated, before any is built.
-    Within a block the basis is ordered by degree, then by cell tuple.
+    The budget counts the cells to be enumerated and is checked at call
+    time, before any is built.  The blocks are then built one at a time, in
+    mask order, as the caller asks for them, so a caller that drops each
+    block after using it never holds the whole model.  Within a block the
+    basis is ordered by degree, then by cell tuple.
     """
     drop = [-1 if basis == "cellular" else p.basepoint for p in pairs]
     a_cells = [tuple(c for c in p.a_cells()
@@ -158,7 +161,14 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
         needed += count
     if needed > budget:
         raise BudgetExceeded(needed, budget)
+    return _product_blocks(k, pairs, drop, a_cells, x_cells)
 
+
+def _product_blocks(k: SimplicialComplex, pairs: tuple[PairModel, ...],
+                    drop: list[int], a_cells: list[tuple[int, ...]],
+                    x_cells: list[tuple[int, ...]]
+                    ) -> Iterator[tuple[int, ChainComplex]]:
+    """The blocks of _product_chain, built as they are asked for."""
     # one sum per cell gives its degree (high bits) and its block (low m bits)
     weight = [[(p.dims[c] << k.m) | (0 if c == drop[i] else 1 << i)
                for c in range(p.n_cells())] for i, p in enumerate(pairs)]
@@ -178,7 +188,6 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
     terms = [[tuple((t, c) for t, c in p.boundaries[ci] if t != drop[i])
               for ci in range(p.n_cells())] for i, p in enumerate(pairs)]
     odd = [[d & 1 for d in p.dims] for p in pairs]
-    blocks: dict[int, ChainComplex] = {}
     # one block at a time, so only its cells are indexed
     for block in sorted(by_block):
         by_degree = by_block.pop(block)
@@ -202,9 +211,8 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
                 cols.append(col)
             if any(cols):
                 boundaries[d] = tuple(cols)
-        blocks[block] = ChainComplex(
+        yield block, ChainComplex(
             {d: len(cells) for d, cells in by_degree.items()}, boundaries)
-    return blocks
 
 
 def moment_angle_chain(k: SimplicialComplex, pairs: Sequence[PairModel],
@@ -212,25 +220,28 @@ def moment_angle_chain(k: SimplicialComplex, pairs: Sequence[PairModel],
     """Chain model of Z(K;(X,A)) in the cellular basis; its homology is the
     unreduced homology of Z.  This is the oracle the decompositions are
     checked against."""
-    (chain,) = _product_chain(k, _check_arity(k, pairs), budget, "cellular").values()
+    ((_, chain),) = _product_chain(k, _check_arity(k, pairs), budget, "cellular")
     return chain
 
 
 def smash_moment_angle_chain(k: SimplicialComplex, pairs: Sequence[PairModel],
                              budget: int = DEFAULT_CELL_BUDGET) -> ChainComplex:
     """Chain model of Zhat(K;(X,A)); its homology is H-tilde of the smash image."""
-    blocks = _product_chain(k, _check_arity(k, pairs), budget, "smash")
+    blocks = dict(_product_chain(k, _check_arity(k, pairs), budget, "smash"))
     return blocks.get((1 << k.m) - 1, empty_chain_complex())
 
 
 def moment_angle_blocks(k: SimplicialComplex, pairs: Sequence[PairModel],
-                        budget: int = DEFAULT_CELL_BUDGET) -> dict[int, ChainComplex]:
-    """Z(K;(X,A)) in the split basis, as {vertex mask I: block I}.
+                        budget: int = DEFAULT_CELL_BUDGET
+                        ) -> Iterator[tuple[int, ChainComplex]]:
+    """Z(K;(X,A)) in the split basis, as (vertex mask I, block I) pairs in
+    mask order; dict(...) collects them.
 
     Block I is Zhat(K_I;(X,A)_I), so H(Z) is the direct sum of the blocks'
     homology, and H-tilde(Z) leaves out block 0 (one cell in degree 0).
     Empty blocks are omitted.  The budget counts the cells of the whole
-    model, as for moment_angle_chain.
+    model, as for moment_angle_chain, and is checked at call time; each
+    block is built when it is asked for.
     """
     return _product_chain(k, _check_arity(k, pairs), budget, "split")
 
@@ -251,7 +262,7 @@ def stable_splitting(k: SimplicialComplex, pairs: Sequence[PairModel],
     if k.m > SPLITTING_SUBSET_BOUND:
         raise SearchBoundExceeded(f"splitting enumerates 2^{k.m} subsets; "
                                   f"bound is m <= {SPLITTING_SUBSET_BOUND}")
-    blocks = moment_angle_blocks(k, pairs, budget)
+    blocks = dict(moment_angle_blocks(k, pairs, budget))
     masks = sorted(range(1, 1 << k.m), key=face_sort_key)
     empty = empty_chain_complex()
     results = (job_map or map)(homology, [blocks.get(mask, empty) for mask in masks])
@@ -448,9 +459,12 @@ def porter_decomposition(m: int, q: int,
     q + 1 + sum of the y_i over I, with multiplicity C(|I|-1, q+1).  This is
     the oracle-confirmed bookkeeping.  A contribution depends only on |I|
     and the y-sum over I, so no subset is enumerated: a table counts the
-    subsets of each size and y-sum, one vertex at a time.  m stays capped
-    at MAX_ENUMERATION_VERTICES, the bound of the subset formulas.
+    subsets of each size and y-sum, one vertex at a time.  m runs from 2,
+    the least m with a skeleton degree q in 0..m-2, to
+    MAX_ENUMERATION_VERTICES, the bound of the subset formulas.
     """
+    if m < 2:
+        raise InputError(f"m must be at least 2 (q lies in 0..m-2), got {m}")
     dims = tuple(int(d) for d in y_dims)
     if len(dims) != m:
         raise ArityMismatch(f"{len(dims)} sphere dimensions for m = {m}")

@@ -4,8 +4,9 @@ Porter's skeleton wedges by a walk over every subset, and the rejected
 bookkeeping the tests pin down; homology dimensions over F_p from a rank
 mod p that never leaves the field; the order complex of the faces above a
 face, which the link replaces in the wedge lemma; the complex enumeration
-that canonicalizes every labeled family; and the face-series sums taken
-one RationalSeries addition at a time.
+that canonicalizes every labeled family; the face-series sums taken
+one RationalSeries addition at a time; and the elimination of every
+boundary in full, without clearing.
 """
 
 from itertools import permutations
@@ -19,7 +20,7 @@ from polyprod.complexes import (
     vertices_from_mask,
 )
 from polyprod.errors import ArityMismatch, FaceNotInComplex, InputError
-from polyprod.homology import ChainComplex, HomologySummary
+from polyprod.homology import ChainComplex, HomologySummary, _elimination_orders
 from polyprod.products import SphereList
 from polyprod.series import RationalSeries
 
@@ -224,3 +225,16 @@ def poincare_polynomial_by_faces(k: SimplicialComplex,
         if count:
             total = total + RationalSeries.from_polynomial((count,)) * px ** (deg + 1)
     return total
+
+
+# -- elimination without clearing ---------------------------------------------
+
+def uncleared_boundary_orders(c: ChainComplex) -> dict[int, list[int]]:
+    """Diagonal orders of every nonzero boundary, each eliminated in full.
+
+    The reference for homology's clearing, which leaves out the columns
+    that the degree above has already paired: the two must give the same
+    rank and invariant factors in every degree.
+    """
+    return {d: _elimination_orders(cols)[0]
+            for d, cols in c.boundaries.items() if c.dim(d - 1)}

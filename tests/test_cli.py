@@ -283,6 +283,28 @@ def test_porter_command(capsys):
     assert json.loads(out)["spheres"] == [{"dimension": 6, "multiplicity": 1}]
 
 
+@pytest.mark.parametrize("m", ["1", "0"])
+def test_porter_below_two_vertices_names_the_least_m(capsys, m):
+    code, out, err = run(capsys, "porter", m, "--q", "0")
+    assert code == 1 and out == ""
+    assert f"m must be at least 2 (q lies in 0..m-2), got {m}" in err
+    assert "outside" not in err
+
+
+@pytest.mark.parametrize("n, message", [
+    ("0", "argument --n: must be >= 1, got 0"),
+    ("-1", "argument --n: must be >= 1, got -1"),
+    ("abc", "argument --n: invalid int value: 'abc'"),
+])
+def test_poincare_below_dimension_one_names_the_flag(capsys, square_file, n, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["poincare", square_file, "--n", n])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_poincare_command(capsys, square_file):
     code, out, _ = run(capsys, "poincare", square_file, "--n", "1",
                        "--trunc", "6")
@@ -371,6 +393,25 @@ def test_wedge_lemma_on_a_seven_vertex_sphere_finishes(tmp_path):
          "--pair", "disk-sphere:1"],
         capture_output=True, text=True, timeout=10, env=env)
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["verdict"] == "VERIFIED"
+
+
+def test_split_of_the_five_cycle_with_a_dense_cone_finishes(tmp_path):
+    # (cone over the triangle's boundary, that boundary) on the 5-cycle:
+    # 106,056 cells whose cone boundaries fill in densely; without clearing
+    # the split was still running after 60 s
+    triangle = tmp_path / "triangle.cx"
+    triangle.write_text("m 3\nface 1 2\nface 2 3\nface 1 3\n")
+    cycle = tmp_path / "c5.cx"
+    cycle.write_text("m 5\n" + "".join(f"face {v} {v % 5 + 1}\n" for v in range(1, 6)))
+    src = str(Path(polyprod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyprod.cli", "split", str(cycle),
+         "--pair", f"cone:{triangle}:1"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "VERIFIED"
 
 

@@ -219,7 +219,7 @@ def _block_homology(blocks, reduced=False):
 def _assert_blocks_split_the_oracle(k, pairs):
     """Block I is Zhat(K_I) built on its own, the cells add up to the
     cellular model's, and the homology of the blocks is the oracle's."""
-    blocks = moment_angle_blocks(k, pairs)
+    blocks = dict(moment_angle_blocks(k, pairs))
     assert set(blocks) <= set(range(1 << k.m))
     assert all(c.total_cells() for c in blocks.values())
     assert blocks[0].dims == {0: 1} and blocks[0].boundaries == {}
@@ -270,7 +270,7 @@ def test_blocks_match_the_oracle_on_random_complexes(m, seed, picks):
     library = standard_pair_library()
     pairs = [library[i] for i in picks[:m]]
     try:
-        blocks = moment_angle_blocks(k, pairs, budget=6000)
+        blocks = dict(moment_angle_blocks(k, pairs, budget=6000))
     except BudgetExceeded:
         assume(False)
     z = moment_angle_chain(k, pairs)
@@ -282,11 +282,13 @@ def test_blocks_match_the_oracle_on_random_complexes(m, seed, picks):
 def test_blocks_budget_counts_the_whole_model():
     pairs = [ds(1)] * 4
     cells = moment_angle_chain(square(), pairs).total_cells()
+    # the check is made at call time, before any block is asked for
     with pytest.raises(BudgetExceeded) as err:
         moment_angle_blocks(square(), pairs, budget=cells - 1)
     assert err.value.needed == cells
-    blocks = moment_angle_blocks(square(), pairs, budget=cells)
-    assert sum(c.total_cells() for c in blocks.values()) == cells
+    blocks = list(moment_angle_blocks(square(), pairs, budget=cells))
+    assert [mask for mask, _ in blocks] == sorted(mask for mask, _ in blocks)
+    assert sum(c.total_cells() for _, c in blocks) == cells
 
 
 # ---------------------------------------------------------------------------
