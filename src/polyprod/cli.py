@@ -354,7 +354,7 @@ def build_parser() -> _Parser:
                            help="worker processes for per-subset computations "
                                 "(at most one per CPU)")
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_CELL_BUDGET,
+            p.add_argument("--budget", type=_positive_int, default=DEFAULT_CELL_BUDGET,
                            help="maximum tensor-basis cells")
         if trunc:
             p.add_argument("--trunc", type=int, default=32,

@@ -21,9 +21,7 @@ and Zhat so the two sides can be compared exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from math import comb
-from operator import getitem
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import (
@@ -140,8 +138,9 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
     Zhat(K_I;(X,A)_I); block 0 is the single cell (*, ..., *).  basis
     "smash" is block [m] alone: * is left out of every coordinate's A-cells.
     validate_pair also rules out zero coefficients and repeated boundary
-    targets, so every built column is free of zero entries and is stored
-    as it stands.
+    targets, so every built column is free of zero entries, and no entry is
+    ever accumulated: two terms moving the same coordinate hit distinct
+    targets, and terms moving distinct coordinates hit distinct cells.
 
     The budget counts the cells to be enumerated and is checked at call
     time, before any is built.  The blocks are then built one at a time, in
@@ -168,51 +167,71 @@ def _product_blocks(k: SimplicialComplex, pairs: tuple[PairModel, ...],
                     drop: list[int], a_cells: list[tuple[int, ...]],
                     x_cells: list[tuple[int, ...]]
                     ) -> Iterator[tuple[int, ChainComplex]]:
-    """The blocks of _product_chain, built as they are asked for."""
-    # one sum per cell gives its degree (high bits) and its block (low m bits)
-    weight = [[(p.dims[c] << k.m) | (0 if c == drop[i] else 1 << i)
-               for c in range(p.n_cells())] for i, p in enumerate(pairs)]
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for face in k.faces:
-        ranges = [x_cells[i] if face >> i & 1 else a_cells[i]
-                  for i in range(k.m)]
-        for cell in iter_product(*ranges):
-            groups.setdefault(sum(map(getitem, weight, cell)), []).append(cell)
-    low = (1 << k.m) - 1
-    by_block: dict[int, dict[int, list[tuple[int, ...]]]] = {}
-    for key in sorted(groups):
-        by_block.setdefault(key & low, {})[key >> k.m] = groups.pop(key)
+    """The blocks of _product_chain, built as they are asked for.
 
-    # per coordinate and cell: the boundary left after dropping the
-    # basepoint, and whether the cell flips the sign of later coordinates
-    terms = [[tuple((t, c) for t, c in p.boundaries[ci] if t != drop[i])
-              for ci in range(p.n_cells())] for i, p in enumerate(pairs)]
-    odd = [[d & 1 for d in p.dims] for p in pairs]
-    # one block at a time, so only its cells are indexed
+    A cell (c_0, ..., c_{m-1}) is the integer code sum c_i << bits*(m-1-i),
+    with bits wide enough for the largest pair's cell indices.  Coordinate
+    0 sits in the top bits, so codes sort as the cell tuples do and the
+    basis order is the tuple order.  Each cell carries its boundary terms as
+    (code offset, coefficient) pairs: the term moving coordinate i from c_i
+    to t has offset (t - c_i) << bits*(m-1-i), and its coefficient is signed
+    by the parity of the odd cells before i.  An offset moves only its own
+    coordinate, so the terms stay valid while the cell is extended by later
+    coordinates, and a column is {pos[code + offset]: coefficient}, with no
+    loop over coordinates and no tuple built.  Each degree's (code, terms)
+    list is released as soon as its columns are built.
+    """
+    m = k.m
+    bits = max(p.n_cells() - 1 for p in pairs).bit_length()
+
+    def choices(i: int, p: PairModel, cells: tuple[int, ...]) -> list[tuple]:
+        # per cell: its shifted code, its degree (high bits) and block (low m
+        # bits) as one summand, whether it flips the sign of later
+        # coordinates, and its boundary after the basepoint drop, by sign
+        shift = bits * (m - 1 - i)
+        out = []
+        for c in cells:
+            terms = tuple(((t - c) << shift, coeff)
+                          for t, coeff in p.boundaries[c] if t != drop[i])
+            out.append((c << shift,
+                        (p.dims[c] << m) | (0 if c == drop[i] else 1 << i),
+                        p.dims[c] & 1,
+                        (terms, tuple((off, -coeff) for off, coeff in terms))))
+        return out
+
+    a_choices = [choices(i, p, a_cells[i]) for i, p in enumerate(pairs)]
+    x_choices = [choices(i, p, x_cells[i]) for i, p in enumerate(pairs)]
+    groups: dict[int, list[tuple[int, tuple]]] = {}
+    for face in k.faces:
+        cells = [(0, 0, 0, ())]
+        for i in range(m):
+            row = x_choices[i] if face >> i & 1 else a_choices[i]
+            cells = [(code + shifted, key + weight, parity ^ odd, terms + signed[parity])
+                     for code, key, parity, terms in cells
+                     for shifted, weight, odd, signed in row]
+        for code, key, _, terms in cells:
+            groups.setdefault(key, []).append((code, terms))
+    low = (1 << m) - 1
+    by_block: dict[int, dict[int, list[tuple[int, tuple]]]] = {}
+    for key in sorted(groups):
+        by_block.setdefault(key & low, {})[key >> m] = groups.pop(key)
+
+    # one block at a time, so only its cells are indexed; support shrinks
+    # and the block is kept, so every target is a cell of the block
     for block in sorted(by_block):
         by_degree = by_block.pop(block)
         for cells in by_degree.values():
             cells.sort()
-        pos = {cell: i for cells in by_degree.values() for i, cell in enumerate(cells)}
+        dims = {d: len(cells) for d, cells in by_degree.items()}
+        pos = {code: i for cells in by_degree.values()
+               for i, (code, _) in enumerate(cells)}
         boundaries: dict[int, tuple[dict[int, int], ...]] = {}
-        for d, cells in by_degree.items():
-            cols = []
-            for cell in cells:
-                col: dict[int, int] = {}
-                sign = 1
-                for i, ci in enumerate(cell):
-                    for t, coeff in terms[i][ci]:
-                        # support shrinks and the block is kept, so the
-                        # target is a cell of this block one degree down
-                        row = pos[cell[:i] + (t,) + cell[i + 1:]]
-                        col[row] = col.get(row, 0) + sign * coeff
-                    if odd[i][ci]:
-                        sign = -sign
-                cols.append(col)
+        for d in dims:
+            cols = tuple({pos[code + off]: coeff for off, coeff in terms}
+                         for code, terms in by_degree.pop(d))
             if any(cols):
-                boundaries[d] = tuple(cols)
-        yield block, ChainComplex(
-            {d: len(cells) for d, cells in by_degree.items()}, boundaries)
+                boundaries[d] = cols
+        yield block, ChainComplex(dims, boundaries)
 
 
 def moment_angle_chain(k: SimplicialComplex, pairs: Sequence[PairModel],
@@ -255,23 +274,29 @@ def stable_splitting(k: SimplicialComplex, pairs: Sequence[PairModel],
     """Reduced homology of Z against the direct sum over nonempty subsets I
     of the reduced homology of Zhat(K_I); verified is the exact comparison.
 
-    The summands are the blocks of moment_angle_blocks; the oracle is the
-    cellular model, eliminated as one matrix per degree.
+    The summands are the blocks of moment_angle_blocks, each reduced as it
+    is built, so only their homology is kept; a subset with no block has
+    trivial homology.  The oracle is the cellular model, eliminated as one
+    matrix per degree.
     """
     pairs = _check_arity(k, pairs)
     if k.m > SPLITTING_SUBSET_BOUND:
         raise SearchBoundExceeded(f"splitting enumerates 2^{k.m} subsets; "
                                   f"bound is m <= {SPLITTING_SUBSET_BOUND}")
-    blocks = dict(moment_angle_blocks(k, pairs, budget))
+    results = dict((job_map or map)(_block_homology, moment_angle_blocks(k, pairs, budget)))
     masks = sorted(range(1, 1 << k.m), key=face_sort_key)
-    empty = empty_chain_complex()
-    results = (job_map or map)(homology, [blocks.get(mask, empty) for mask in masks])
+    trivial = HomologySummary(())
     summands = tuple(
-        SplitSummand(verts, f"Zhat(K_{_subset_label(verts)})", h)
-        for verts, h in zip(map(vertices_from_mask, masks), results))
+        SplitSummand(verts, f"Zhat(K_{_subset_label(verts)})", results.get(mask, trivial))
+        for mask, verts in zip(masks, map(vertices_from_mask, masks)))
     total = direct_sum(s.homology for s in summands)
     oracle = homology(moment_angle_chain(k, pairs, budget), reduced=True)
     return SplittingResult(summands, total, oracle, total == oracle)
+
+
+def _block_homology(item: tuple[int, ChainComplex]) -> tuple[int, HomologySummary]:
+    mask, block = item
+    return mask, homology(block)
 
 
 # -- Hochster-type formula for (D^{n+1}, S^n) -------------------------------------

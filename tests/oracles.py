@@ -5,13 +5,15 @@ bookkeeping the tests pin down; homology dimensions over F_p from a rank
 mod p that never leaves the field; the order complex of the faces above a
 face, which the link replaces in the wedge lemma; the complex enumeration
 that canonicalizes every labeled family; the face-series sums taken
-one RationalSeries addition at a time; and the elimination of every
-boundary in full, without clearing.
+one RationalSeries addition at a time; the elimination of every boundary
+in full, without clearing; and the product model built cell tuple by cell
+tuple.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
-from typing import Iterable, Sequence
+from operator import getitem
+from typing import Iterable, Iterator, Sequence
 
 from polyprod.complexes import (
     SimplicialComplex,
@@ -21,6 +23,7 @@ from polyprod.complexes import (
 )
 from polyprod.errors import ArityMismatch, FaceNotInComplex, InputError
 from polyprod.homology import ChainComplex, HomologySummary, _elimination_orders
+from polyprod.pairs import PairModel
 from polyprod.products import SphereList
 from polyprod.series import RationalSeries
 
@@ -238,3 +241,62 @@ def uncleared_boundary_orders(c: ChainComplex) -> dict[int, list[int]]:
     """
     return {d: _elimination_orders(cols)[0]
             for d, cols in c.boundaries.items() if c.dim(d - 1)}
+
+
+# -- the product model, cell tuple by cell tuple ------------------------------
+
+def tuple_keyed_product_blocks(k: SimplicialComplex, pairs: Sequence[PairModel],
+                               basis: str) -> Iterator[tuple[int, ChainComplex]]:
+    """The (mask, block) pairs of the product model in the given basis, with
+    cells kept as tuples: each boundary target is the cell tuple with one
+    coordinate replaced, looked up by hash, and every entry is accumulated.
+
+    The reference for the integer-coded builder behind moment_angle_blocks:
+    the two must agree on the masks, the dims and every column, entry order
+    included.
+    """
+    drop = [-1 if basis == "cellular" else p.basepoint for p in pairs]
+    a_cells = [tuple(c for c in p.a_cells()
+                     if basis != "smash" or c != p.basepoint) for p in pairs]
+    x_cells = [p.x_only_cells() for p in pairs]
+    # one sum per cell gives its degree (high bits) and its block (low m bits)
+    weight = [[(p.dims[c] << k.m) | (0 if c == drop[i] else 1 << i)
+               for c in range(p.n_cells())] for i, p in enumerate(pairs)]
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for face in k.faces:
+        ranges = [x_cells[i] if face >> i & 1 else a_cells[i]
+                  for i in range(k.m)]
+        for cell in product(*ranges):
+            groups.setdefault(sum(map(getitem, weight, cell)), []).append(cell)
+    low = (1 << k.m) - 1
+    by_block: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+    for key in sorted(groups):
+        by_block.setdefault(key & low, {})[key >> k.m] = groups.pop(key)
+
+    # per coordinate and cell: the boundary left after dropping the
+    # basepoint, and whether the cell flips the sign of later coordinates
+    terms = [[tuple((t, c) for t, c in p.boundaries[ci] if t != drop[i])
+              for ci in range(p.n_cells())] for i, p in enumerate(pairs)]
+    odd = [[d & 1 for d in p.dims] for p in pairs]
+    for block in sorted(by_block):
+        by_degree = by_block.pop(block)
+        for cells in by_degree.values():
+            cells.sort()
+        pos = {cell: i for cells in by_degree.values() for i, cell in enumerate(cells)}
+        boundaries: dict[int, tuple[dict[int, int], ...]] = {}
+        for d, cells in by_degree.items():
+            cols = []
+            for cell in cells:
+                col: dict[int, int] = {}
+                sign = 1
+                for i, ci in enumerate(cell):
+                    for t, coeff in terms[i][ci]:
+                        row = pos[cell[:i] + (t,) + cell[i + 1:]]
+                        col[row] = col.get(row, 0) + sign * coeff
+                    if odd[i][ci]:
+                        sign = -sign
+                cols.append(col)
+            if any(cols):
+                boundaries[d] = tuple(cols)
+        yield block, ChainComplex(
+            {d: len(cells) for d, cells in by_degree.items()}, boundaries)

@@ -176,6 +176,18 @@ def test_homology_budget_below_the_cell_count_exits_one(capsys, square_file):
     assert code == 0 and json.loads(out)["cells"] == 64
 
 
+@pytest.mark.parametrize("command", ["homology", "split", "wedge-lemma"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_one_names_the_flag(capsys, square_file, command, budget):
+    with pytest.raises(SystemExit) as exc:
+        main([command, square_file, "--pair", "disk-sphere:1", "--budget", budget])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --budget: must be >= 1, got {budget}" in captured.err
+    assert "construction needs" not in captured.err
+
+
 def test_homology_of_a_cone_pair_matches_the_join_model(capsys, tmp_path,
                                                        square_file):
     # 14,400 cells, most of them in the block of the full vertex set

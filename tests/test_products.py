@@ -6,6 +6,7 @@ against previously recorded output.
 """
 
 import random
+import weakref
 from itertools import product
 from math import comb
 
@@ -73,6 +74,7 @@ from oracles import (
     poincare_polynomial_by_faces,
     porter_decomposition_by_subsets,
     porter_decomposition_printed_variant,
+    tuple_keyed_product_blocks,
 )
 
 
@@ -248,11 +250,16 @@ def test_blocks_are_smash_models_exhaustive():
     assert checked == (2 + 4 + 9 + 29) * 4
 
 
+# (D1,S0) has an A 0-cell besides the basepoint, the cone over the
+# triangle's boundary has several (and 13 cells, so cell indices need 4 bits
+# and the pair size is not a power of two), and the based pair is based at
+# cell 1
+MIXED_PAIRS = standard_pair_library() + (pair_cone(simplex_boundary(3), 1),
+                                         pair_space_basepoint(square(), 2))
+
+
 def test_blocks_are_smash_models_mixed_pairs():
-    # (D1,S0) has an A 0-cell besides the basepoint, the cone over the
-    # triangle's boundary has several, and the based pair is based at cell 1
-    mixed = standard_pair_library() + (pair_cone(simplex_boundary(3), 1),
-                                       pair_space_basepoint(square(), 2))
+    mixed = MIXED_PAIRS
     assert sum(mixed[4].dims[c] == 0 for c in mixed[4].a_cells()) == 3
     assert mixed[-1].basepoint != 0
     for m in (1, 2, 3):
@@ -292,6 +299,61 @@ def test_blocks_budget_counts_the_whole_model():
 
 
 # ---------------------------------------------------------------------------
+# the integer-coded builder against the tuple-keyed reference
+# ---------------------------------------------------------------------------
+
+BASES = ("cellular", "split", "smash")
+
+
+def _built(blocks):
+    """Masks, dims and every column, entry order included."""
+    return [(mask, list(c.dims.items()),
+             [(d, [list(col.items()) for col in cols])
+              for d, cols in c.boundaries.items()])
+            for mask, c in blocks]
+
+
+def _assert_builders_agree(k, pairs, basis, budget=products_module.DEFAULT_CELL_BUDGET):
+    pairs = tuple(pairs)
+    got = _built(products_module._product_chain(k, pairs, budget, basis))
+    assert got == _built(tuple_keyed_product_blocks(k, pairs, basis))
+    return got
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_builders_agree_exhaustive(basis):
+    for m in (1, 2, 3):
+        for k in all_complexes_on(m):
+            for pair in MIXED_PAIRS:
+                _assert_builders_agree(k, [pair] * m, basis)
+            for start in range(len(MIXED_PAIRS)):
+                _assert_builders_agree(
+                    k, [MIXED_PAIRS[(start + i) % len(MIXED_PAIRS)] for i in range(m)], basis)
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_builders_agree_on_torsion_and_cone_models(basis):
+    built = _assert_builders_agree(random_complex(random.Random(3), 5), [rp2_pair()] * 5, basis)
+    assert sum(dims for _, degrees, _ in built for _, dims in degrees) > 1000
+    assert MIXED_PAIRS[4].n_cells() == 13
+    _assert_builders_agree(simplex_boundary(3), [MIXED_PAIRS[4]] * 3, basis)
+    _assert_builders_agree(pentagon(), [ds(1)] * 5, basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, len(MIXED_PAIRS) - 1), min_size=6, max_size=6),
+       st.sampled_from(BASES))
+def test_builders_agree_on_random_complexes(m, seed, picks, basis):
+    k = random_complex(random.Random(seed), m)
+    pairs = [MIXED_PAIRS[i] for i in picks[:m]]
+    try:
+        _assert_builders_agree(k, pairs, basis, budget=4000)
+    except BudgetExceeded:
+        assume(False)
+
+
+# ---------------------------------------------------------------------------
 # stable splitting
 # ---------------------------------------------------------------------------
 
@@ -323,6 +385,23 @@ def test_splitting_with_mixed_pairs():
         pairs = [library[rng.randrange(len(library))] for _ in range(3)]
         res = stable_splitting(k, pairs)
         assert res.verified, (trial, k.face_tuples(), [p.name for p in pairs])
+
+
+def test_splitting_reduces_each_block_before_the_next_is_built():
+    alive = []
+
+    def job_map(f, items):
+        out = []
+        for item in items:
+            assert all(ref() is None for ref in alive)
+            alive.append(weakref.ref(item[1]))
+            out.append(f(item))
+        return out
+
+    k, pairs = pentagon(), [rp2_pair()] * 5
+    res = stable_splitting(k, pairs, job_map=job_map)
+    assert len(alive) == len(list(moment_angle_blocks(k, pairs)))
+    assert res.verified and res == stable_splitting(k, pairs)
 
 
 def test_splitting_summand_descriptions():
