@@ -14,7 +14,7 @@ import sys
 from multiprocessing import Pool
 from typing import Callable, Sequence
 
-from .complexes import SimplicialComplex, validate
+from .complexes import validate
 from .errors import InputError, PolyprodError
 from .files import load_characteristic, load_complex, parse_pair_spec
 from .homology import HomologySummary, direct_sum, homology
@@ -121,16 +121,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _with_job_map(jobs: int, fn: Callable):
+def _with_job_map(jobs: int, fn: Callable, streamed: bool = False):
+    """fn(job_map) on a pool, or fn(None) for one worker.  pool.map lists its
+    items before it sends any; streamed uses pool.imap_unordered, which does not."""
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
-            return fn(pool.map)
+            return fn(pool.imap_unordered if streamed else pool.map)
     return fn(None)
-
-
-def _load(args) -> SimplicialComplex:
-    return load_complex(args.complex)
 
 
 def _diagnostic_entries(diagnostics) -> list[dict]:
@@ -143,7 +141,7 @@ def _diagnostic_entries(diagnostics) -> list[dict]:
 # -- command handlers -----------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    k = _load(args)
+    k = load_complex(args.complex)
     diagnostics = validate(k, strict=args.strict)
     payload = {
         "ok": not diagnostics,
@@ -157,7 +155,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    k = _load(args)
+    k = load_complex(args.complex)
     pairs = _resolve_pairs(args.pair, k.m)
     if args.smash:
         chain = smash_moment_angle_chain(k, pairs, args.budget)
@@ -183,16 +181,16 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    k = _load(args)
+    k = load_complex(args.complex)
     pairs = _resolve_pairs(args.pair, k.m)
     result = _with_job_map(
         args.jobs,
-        lambda jm: stable_splitting(k, pairs, args.budget, job_map=jm))
+        lambda jm: stable_splitting(k, pairs, args.budget, job_map=jm), streamed=True)
     return _emit_splitting(args, result)
 
 
 def _cmd_hochster(args) -> int:
-    k = _load(args)
+    k = load_complex(args.complex)
     total, summands = _with_job_map(
         args.jobs, lambda jm: hochster_homology(k, args.n, job_map=jm))
     payload = {
@@ -205,7 +203,7 @@ def _cmd_hochster(args) -> int:
 
 
 def _cmd_wedge_lemma(args) -> int:
-    k = _load(args)
+    k = load_complex(args.complex)
     pairs = _resolve_pairs(args.pair, k.m)
     return _emit_splitting(args, wedge_lemma_decomposition(k, pairs, args.budget))
 
@@ -229,7 +227,7 @@ def _cmd_porter(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
-    k = _load(args)
+    k = load_complex(args.complex)
     series = poincare_polynomial(k, RationalSeries.monomial(args.n))
     payload = {"n": args.n, "series": _series_payload(series, args.trunc)}
     rows = list(enumerate(series.expansion(args.trunc)))
@@ -238,7 +236,7 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_sr(args) -> int:
-    k = _load(args)
+    k = load_complex(args.complex)
     presentation = sr_presentation(k, args.degree)
     series = sr_hilbert_series(k, args.degree)
     payload = {
@@ -253,7 +251,7 @@ def _cmd_sr(args) -> int:
 
 
 def _cmd_dj_check(args) -> int:
-    k = _load(args)
+    k = load_complex(args.complex)
     comparison = dj_additive_check(k, args.degree, args.trunc)
     payload = {
         "equal": comparison.equal,
@@ -269,7 +267,7 @@ def _cmd_dj_check(args) -> int:
 
 
 def _cmd_toric(args) -> int:
-    k = _load(args)
+    k = load_complex(args.complex)
     lam = load_characteristic(args.matrix)
     diagnostics = validate_characteristic(k, lam)
     if diagnostics:
@@ -304,7 +302,7 @@ def _cmd_toric(args) -> int:
 
 
 def _cmd_shifted(args) -> int:
-    k = _load(args)
+    k = load_complex(args.complex)
     verdict = k.is_shifted()
     payload = {
         "shifted": verdict.shifted,

@@ -352,6 +352,14 @@ def ensure_valid(k: SimplicialComplex, strict: bool = False) -> None:
         raise InputError(d.message)
 
 
+def ensure_closed(k: SimplicialComplex) -> None:
+    """Raise NotDownwardClosed, naming a missing face, unless K is closed."""
+    for mask in k.faces:
+        for b in range(k.m):
+            if mask >> b & 1 and mask ^ (1 << b) not in k.faces:
+                raise NotDownwardClosed(vertices_from_mask(mask ^ (1 << b)))
+
+
 # -- internals ----------------------------------------------------------------
 
 def _maximal_of(faces) -> tuple[int, ...]:

@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NotASubcomplex,
+    NotDownwardClosed,
 )
 
 
@@ -590,6 +591,7 @@ def simplicial_chain_complex(k: SimplicialComplex,
 
     reduced=True keeps the empty face as the degree -1 cell, so homology of
     the result is reduced homology; the {empty} complex then has H_{-1} = Z.
+    A face set that is not downward closed raises NotDownwardClosed.
     """
     lowest = -1 if reduced else 0
     by_degree: dict[int, list[int]] = {}
@@ -609,7 +611,10 @@ def simplicial_chain_complex(k: SimplicialComplex,
             col: dict[int, int] = {}
             for pos, vtx in enumerate(vertices_from_mask(mask)):
                 sub = mask & ~(1 << (vtx - 1))
-                col[index[d - 1][sub]] = 1 if pos % 2 == 0 else -1
+                try:
+                    col[index[d - 1][sub]] = 1 if pos % 2 == 0 else -1
+                except KeyError:
+                    raise NotDownwardClosed(vertices_from_mask(sub)) from None
             cols.append(col)
         boundaries[d] = cols
     return make_chain_complex(dims, boundaries)

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .complexes import (
     MAX_ENUMERATION_VERTICES,
     SimplicialComplex,
+    ensure_closed,
     face_sort_key,
     vertices_from_mask,
 )
@@ -54,6 +55,7 @@ from .series import RationalSeries, poly_add, poly_mul, poly_pow
 
 DEFAULT_CELL_BUDGET = 2_000_000
 SPLITTING_SUBSET_BOUND = 12
+HOCHSTER_NONFACE_BOUND = 1 << 17
 
 MapFn = Callable[[Callable, Iterable], Iterable]
 
@@ -119,6 +121,7 @@ def _subset_label(vertices: Sequence[int]) -> str:
 
 
 def _check_arity(k: SimplicialComplex, pairs: Sequence[PairModel]) -> tuple[PairModel, ...]:
+    ensure_closed(k)
     pairs = tuple(pairs)
     if len(pairs) != k.m:
         raise ArityMismatch(f"{len(pairs)} pair models for m = {k.m} vertices")
@@ -313,15 +316,19 @@ def hochster_homology(k: SimplicialComplex, n: int | Sequence[int],
     dimension per vertex, in which case a subset I is shifted up by
     1 + sum of its dimensions.  Many non-faces have equal relabeled K_I, so
     the distinct ones are collected first and `job_map` computes each one's
-    reduced homology once; nothing is kept across calls.
+    reduced homology once; nothing is kept across calls.  More than
+    HOCHSTER_NONFACE_BOUND non-faces, 2^m - |K|, are refused up front.
     """
+    ensure_closed(k)
     dims = tuple(n for _ in range(k.m)) if isinstance(n, int) else tuple(n)
     if len(dims) != k.m:
         raise ArityMismatch(f"expected {k.m} sphere dimensions, got {len(dims)}")
     if any(d < 0 for d in dims):
         raise InputError("sphere dimension n must be >= 0")
-    if k.m > MAX_ENUMERATION_VERTICES:
-        raise SearchBoundExceeded(f"m = {k.m} exceeds {MAX_ENUMERATION_VERTICES}")
+    nonfaces = (1 << k.m) - len(k.faces)
+    if nonfaces > HOCHSTER_NONFACE_BOUND:
+        raise SearchBoundExceeded(f"Hochster's formula walks {nonfaces} non-faces; "
+                                  f"bound is {HOCHSTER_NONFACE_BOUND}")
     masks = sorted((mask for mask in range(1, 1 << k.m) if mask not in k.faces),
                    key=face_sort_key)
     subsets = [vertices_from_mask(mask) for mask in masks]

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import weakref
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ from polyprod.files import (
 )
 from polyprod.homology import HomologySummary, direct_sum
 from polyprod.pairs import simplicial_space
-from polyprod.products import contractible_X_summary
+from polyprod.products import HOCHSTER_NONFACE_BOUND, contractible_X_summary
 
 SQUARE_TEXT = """\
 # the 4-cycle
@@ -390,6 +392,22 @@ def test_porter_on_forty_vertices_hits_the_enumeration_bound():
     assert "m = 40 exceeds 24" in proc.stderr
 
 
+def test_hochster_on_eighteen_points_hits_the_nonface_bound(tmp_path):
+    # 2^18 - 19 non-faces; walking them would take gigabytes, so the count
+    # must be refused before any K_I is built
+    points = tmp_path / "points.cx"
+    points.write_text("m 18\n" + "".join(f"face {v}\n" for v in range(1, 19)))
+    src = str(Path(polyprod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyprod.cli", "hochster", str(points), "--n", "1"],
+        capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert f"{(1 << 18) - 19} non-faces; bound is {HOCHSTER_NONFACE_BOUND}" in proc.stderr
+
+
 def test_wedge_lemma_on_a_seven_vertex_sphere_finishes(tmp_path):
     # the boundary of the 6-simplex: its barycentric subdivision has 47,293
     # faces, so the left factors must come from links, not order complexes
@@ -469,7 +487,8 @@ class RecordingPool:
 
     def __init__(self, processes):
         self.sizes.append(processes)
-        self.map = map
+
+    map = imap_unordered = staticmethod(map)
 
     def __enter__(self):
         return self
@@ -491,6 +510,49 @@ def test_jobs_are_capped_at_the_cpu_count(capsys, square_file, monkeypatch):
     assert run(capsys, "split", square_file, "--pair", "disk-sphere:1",
                "--jobs", "100000")[0] == 0
     assert RecordingPool.sizes == [4, 3]
+
+
+class ChunkingPool(RecordingPool):
+    """A RecordingPool whose map lists its items first, as Pool.map does,
+    and whose imap_unordered takes them one chunk at a time.  Each records,
+    as it takes items, how many of the split blocks taken so far are alive."""
+
+    def __init__(self, processes):
+        super().__init__(processes)
+        self.refs, self.alive = [], []
+
+    def _take(self, items):
+        self.refs += [weakref.ref(block) for _, block in items]
+        self.alive.append(sum(ref() is not None for ref in self.refs))
+
+    def map(self, fn, items):
+        items = list(items)
+        self._take(items)
+        return [fn(item) for item in items]
+
+    def imap_unordered(self, fn, items, chunksize=1):
+        items = iter(items)
+        while chunk := list(islice(items, chunksize)):
+            self._take(chunk)
+            results = [fn(item) for item in chunk]
+            del chunk
+            yield from results
+
+
+def test_split_streams_its_blocks_to_the_pool(capsys, tmp_path, monkeypatch):
+    cycle = tmp_path / "c5.cx"
+    cycle.write_text("m 5\n" + "".join(f"face {v} {v % 5 + 1}\n" for v in range(1, 6)))
+    argv = ["split", str(cycle), "--pair", "disk-sphere:1"]
+    _, serial, _ = run(capsys, *argv)
+    pools = []
+    monkeypatch.setattr(cli, "Pool", lambda n: pools.append(ChunkingPool(n)) or pools[-1])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert run(capsys, *argv, "--jobs", "2")[:2] == (0, serial)
+    # all 32 blocks went through the pool, and at most one chunk of one
+    # block was alive at a time
+    (pool,) = pools
+    assert len(pool.refs) == 32
+    assert max(pool.alive) == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -30,6 +30,7 @@ from polyprod.errors import (
     ArityMismatch,
     BudgetExceeded,
     InputError,
+    NotDownwardClosed,
     NotShifted,
     PairNotCertified,
     SearchBoundExceeded,
@@ -201,6 +202,26 @@ def test_budget_is_enforced():
 def test_arity_is_enforced():
     with pytest.raises(ArityMismatch):
         moment_angle_chain(square(), [ds(1)] * 3)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda k: moment_angle_chain(k, [ds(1)] * 2),
+    lambda k: smash_moment_angle_chain(k, [ds(1)] * 2),
+    # at the bare call, before any block is asked for
+    lambda k: moment_angle_blocks(k, [ds(1)] * 2),
+    lambda k: stable_splitting(k, [ds(1)] * 2),
+    lambda k: wedge_lemma_decomposition(k, [ds(1)] * 2),
+    lambda k: contractible_X_summary(k, [rp2_space()] * 2),
+    lambda k: reduced_simplicial_homology(k),
+    lambda k: hochster_homology(k, 1),
+], ids=["moment_angle_chain", "smash_moment_angle_chain", "moment_angle_blocks",
+        "stable_splitting", "wedge_lemma_decomposition", "contractible_X_summary",
+        "reduced_simplicial_homology", "hochster_homology"])
+def test_a_face_set_that_is_not_a_complex_is_refused(entry):
+    # the faces are only the empty face and {1,2}
+    with pytest.raises(NotDownwardClosed) as err:
+        entry(SimplicialComplex.from_faces(2, [0b11]))
+    assert err.value.face in {(1,), (2,)}
 
 
 def test_chain_model_is_deterministic():

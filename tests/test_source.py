@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyprod"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
