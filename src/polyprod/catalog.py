@@ -155,7 +155,7 @@ def all_complexes_on(m: int, up_to_iso: bool = True) -> tuple[SimplicialComplex,
     else:
         chosen = [faces_of(fam) for fam in families]
 
-    complexes = [SimplicialComplex.from_faces(m, faces) for faces in chosen]
+    complexes = [SimplicialComplex(m, frozenset(faces)) for faces in chosen]
     complexes.sort(key=lambda k: (len(k.faces), tuple(sorted(k.faces))))
     return tuple(complexes)
 
@@ -204,4 +204,4 @@ def random_shifted_complex(rng: Random, m: int) -> SimplicialComplex:
                     if moved not in faces:
                         faces.add(moved)
                         changed = True
-    return SimplicialComplex.from_faces(m, faces)
+    return SimplicialComplex(m, frozenset(faces))

@@ -5,6 +5,7 @@ means vertex i belongs to the face, so the empty face is 0 and masks compare
 deterministically.  All face listings in this package are ordered by
 (cardinality, numeric mask value).  A complex is its face set: maximal
 faces, links and subcomplexes are computed from it when asked for.
+Only from_faces checks closure: the builders here keep it by construction.
 
 Operations that enumerate all 2^m subsets (skeleta, minimal non-faces,
 subset sums) are capped at m <= MAX_ENUMERATION_VERTICES.
@@ -19,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     FaceNotInComplex,
-    GhostVertex,
     InputError,
     NotDownwardClosed,
     SearchBoundExceeded,
@@ -88,7 +88,8 @@ class SimplicialComplex:
     """An abstract simplicial complex: a downward-closed set of face masks.
 
     `faces` always contains the empty face 0.  Equality and hashing are
-    those of (m, faces); nothing else is stored.
+    those of (m, faces); nothing else is stored.  The constructor trusts
+    its caller; a face set from outside goes through from_faces.
     """
 
     m: int
@@ -117,16 +118,14 @@ class SimplicialComplex:
 
     @classmethod
     def from_faces(cls, m: int, faces: Iterable[int]) -> "SimplicialComplex":
-        """Wrap an explicit face-mask set without forcing closure.
-
-        The empty face is always added.  Closure is NOT checked here; run
-        validate() when the face set comes from an untrusted source.
-        """
-        fs = frozenset(faces) | {0}
-        for mask in fs:
-            if mask >> m:
-                raise InputError(f"face mask {mask:#b} uses vertices beyond m={m}")
-        return cls(m=m, faces=fs)
+        """The complex with these faces and the empty one, checked: a missing
+        face raises NotDownwardClosed, a mask beyond m InputError."""
+        k = cls(m=m, faces=frozenset(faces) | {0})
+        for d in validate(k):
+            if d.kind == "not_downward_closed":
+                raise NotDownwardClosed(d.face)
+            raise InputError(d.message)
+        return k
 
     # basic queries -----------------------------------------------------
 
@@ -179,7 +178,7 @@ class SimplicialComplex:
         """K_I = {sigma in K : sigma is a subset of I}, relabeled 1..|I|.
 
         The i-th smallest vertex of I becomes vertex i.  Only the faces
-        inside I are kept and relabeled; on a downward-closed K this is
+        inside I are kept and relabeled; K is downward closed, so this is
         the same set as {sigma /\\ I : sigma in K}.
         """
         sel = sorted(set(subset))
@@ -187,16 +186,15 @@ class SimplicialComplex:
         labels = [0] * self.m
         for i, v in enumerate(sel, start=1):
             labels[v - 1] = i
-        return SimplicialComplex.from_faces(
-            len(sel), (_relabel_mask(mask, labels)
-                       for mask in self.faces if mask | sel_mask == sel_mask))
+        return SimplicialComplex(len(sel), frozenset({
+            _relabel_mask(mask, labels) for mask in self.faces if mask | sel_mask == sel_mask}))
 
     def skeleton(self, q: int) -> "SimplicialComplex":
         """Faces of cardinality <= q+1.  q = -1 gives the {empty} complex."""
         if q < -1 or q > self.dim():
             raise InputError(f"skeleton degree {q} outside -1..{self.dim()}")
-        keep = frozenset(mask for mask in self.faces if mask.bit_count() <= q + 1)
-        return SimplicialComplex.from_faces(self.m, keep)
+        return SimplicialComplex(self.m, frozenset({
+            mask for mask in self.faces if mask.bit_count() <= q + 1}))
 
     def minimal_non_faces(self) -> tuple[int, ...]:
         """Subsets not in K all of whose proper subsets are in K, sorted."""
@@ -220,8 +218,8 @@ class SimplicialComplex:
         smask = mask_from_vertices(sigma, self.m)
         if smask not in self.faces:
             raise FaceNotInComplex(vertices_from_mask(smask))
-        return SimplicialComplex.from_faces(
-            self.m, (t ^ smask for t in self.faces if t & smask == smask))
+        return SimplicialComplex(self.m, frozenset({
+            t ^ smask for t in self.faces if t & smask == smask}))
 
     # shiftedness -------------------------------------------------------
 
@@ -271,8 +269,8 @@ class SimplicialComplex:
         p = tuple(perm)
         if sorted(p) != list(range(1, self.m + 1)):
             raise InputError("perm must be a permutation of 1..m")
-        faces = frozenset(_relabel_mask(mask, p) for mask in self.faces)
-        return SimplicialComplex.from_faces(self.m, faces)
+        return SimplicialComplex(self.m, frozenset({
+            _relabel_mask(mask, p) for mask in self.faces}))
 
 
 @dataclass(frozen=True)
@@ -295,14 +293,14 @@ def skeleton(m: int, q: int) -> SimplicialComplex:
         raise InputError(f"m = {m} exceeds enumeration cap {MAX_ENUMERATION_VERTICES}")
     if q < -1 or q > m - 1:
         raise InputError(f"skeleton degree {q} outside -1..{m - 1}")
-    faces = [0]
+    faces = {0}
     for k in range(1, q + 2):
         for combo in combinations(range(m), k):
             mask = 0
             for b in combo:
                 mask |= 1 << b
-            faces.append(mask)
-    return SimplicialComplex.from_faces(m, faces)
+            faces.add(mask)
+    return SimplicialComplex(m, frozenset(faces))
 
 
 def join_complex(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
@@ -311,7 +309,7 @@ def join_complex(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComp
     for a in k1.faces:
         for b in k2.faces:
             faces.add(a | (b << k1.m))
-    return SimplicialComplex.from_faces(k1.m + k2.m, faces)
+    return SimplicialComplex(k1.m + k2.m, frozenset(faces))
 
 
 def validate(k: SimplicialComplex, strict: bool = False) -> list[Diagnostic]:
@@ -340,24 +338,6 @@ def validate(k: SimplicialComplex, strict: bool = False) -> list[Diagnostic]:
                 out.append(Diagnostic("ghost_vertex", f"vertex {v} lies in no face",
                                       vertex=v))
     return out
-
-
-def ensure_valid(k: SimplicialComplex, strict: bool = False) -> None:
-    """Raise the typed exception for the first validation failure, if any."""
-    for d in validate(k, strict=strict):
-        if d.kind == "not_downward_closed":
-            raise NotDownwardClosed(d.face)
-        if d.kind == "ghost_vertex":
-            raise GhostVertex(d.vertex)
-        raise InputError(d.message)
-
-
-def ensure_closed(k: SimplicialComplex) -> None:
-    """Raise NotDownwardClosed, naming a missing face, unless K is closed."""
-    for mask in k.faces:
-        for b in range(k.m):
-            if mask >> b & 1 and mask ^ (1 << b) not in k.faces:
-                raise NotDownwardClosed(vertices_from_mask(mask ^ (1 << b)))
 
 
 # -- internals ----------------------------------------------------------------

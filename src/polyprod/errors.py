@@ -23,14 +23,6 @@ class NotDownwardClosed(InputError):
         super().__init__(f"face set is not downward closed: missing {self.face}")
 
 
-class GhostVertex(InputError):
-    """Strict validation found a vertex that lies in no face."""
-
-    def __init__(self, vertex):
-        self.vertex = vertex
-        super().__init__(f"vertex {vertex} lies in no face")
-
-
 class FaceNotInComplex(InputError):
     def __init__(self, face):
         self.face = tuple(face)

@@ -36,7 +36,6 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NotASubcomplex,
-    NotDownwardClosed,
 )
 
 
@@ -336,7 +335,8 @@ class ChainComplex:
 
     dims maps degree -> basis size (only nonzero entries are stored);
     boundaries[d] sends C_d into C_{d-1}; degrees with a zero boundary map
-    may omit their key entirely.
+    may omit their key entirely.  The constructor trusts its caller; data
+    from outside goes through make_chain_complex.
     """
 
     dims: dict[int, int]
@@ -363,7 +363,7 @@ class ChainComplex:
 
 def make_chain_complex(dims: Mapping[int, int],
                        boundaries: Mapping[int, Sequence[Mapping[int, int]]]) -> ChainComplex:
-    """Validated constructor: shapes line up, indices in range, zero entries dropped."""
+    """Checked constructor: shapes, index ranges, d o d = 0; zero entries dropped."""
     clean_dims = {int(d): int(n) for d, n in dims.items() if n}
     clean_bnd: dict[int, tuple[dict[int, int], ...]] = {}
     for d, cols in boundaries.items():
@@ -384,7 +384,9 @@ def make_chain_complex(dims: Mapping[int, int],
             converted.append(new)
         if any_entry:
             clean_bnd[d] = tuple(converted)
-    return ChainComplex(clean_dims, clean_bnd)
+    c = ChainComplex(clean_dims, clean_bnd)
+    check_boundaries(c)
+    return c
 
 
 def empty_chain_complex() -> ChainComplex:
@@ -412,11 +414,15 @@ def check_boundaries(c: ChainComplex) -> None:
 
 
 def augmented(c: ChainComplex) -> ChainComplex:
-    """Add a degree -1 augmentation cell; every 0-cell maps to it with +1."""
+    """Add a degree -1 augmentation cell; every 0-cell maps to it with +1.
+    A 1-cell whose coefficients do not sum to 0 raises BoundaryNotSquareZero."""
     if -1 in c.dims:
         raise InputError("complex already has degree -1 cells")
     if any(d < 0 for d in c.dims):
         raise InputError("cannot augment below existing negative degrees")
+    for j, col in enumerate(c.boundaries.get(1, ())):
+        if sum(col.values()):
+            raise BoundaryNotSquareZero(1, f"column {j}")
     dims = dict(c.dims)
     dims[-1] = 1
     boundaries = dict(c.boundaries)
@@ -556,6 +562,8 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
 
     reduced=True augments at degree -1 unless the complex already carries an
     augmentation cell; it is only meaningful when every 0-cell is a point.
+    c must satisfy d o d = 0, which is not checked here (make_chain_complex
+    checks it).
 
     The boundaries are eliminated from the top degree down, and boundary d
     skips the columns at the sparse pivot rows of boundary d+1 (clearing,
@@ -574,7 +582,6 @@ def homology(c: ChainComplex, reduced: bool = False) -> HomologySummary:
     """
     if reduced and -1 not in c.dims:
         c = augmented(c)
-    check_boundaries(c)
     orders = _boundary_orders(c)
     result: dict[int, tuple[int, Iterable[int]]] = {}
     for d, n in c.dims.items():
@@ -591,7 +598,7 @@ def simplicial_chain_complex(k: SimplicialComplex,
 
     reduced=True keeps the empty face as the degree -1 cell, so homology of
     the result is reduced homology; the {empty} complex then has H_{-1} = Z.
-    A face set that is not downward closed raises NotDownwardClosed.
+    K is closed and the face signs alternate, so d o d = 0 without a check.
     """
     lowest = -1 if reduced else 0
     by_degree: dict[int, list[int]] = {}
@@ -602,22 +609,17 @@ def simplicial_chain_complex(k: SimplicialComplex,
     index = {d: {mask: i for i, mask in enumerate(masks)}
              for d, masks in by_degree.items()}
     dims = {d: len(masks) for d, masks in by_degree.items()}
-    boundaries: dict[int, list[dict[int, int]]] = {}
+    boundaries: dict[int, tuple[dict[int, int], ...]] = {}
     for d, masks in by_degree.items():
         if d == lowest:
             continue
-        cols = []
-        for mask in masks:
-            col: dict[int, int] = {}
-            for pos, vtx in enumerate(vertices_from_mask(mask)):
-                sub = mask & ~(1 << (vtx - 1))
-                try:
-                    col[index[d - 1][sub]] = 1 if pos % 2 == 0 else -1
-                except KeyError:
-                    raise NotDownwardClosed(vertices_from_mask(sub)) from None
-            cols.append(col)
-        boundaries[d] = cols
-    return make_chain_complex(dims, boundaries)
+        low = index[d - 1]
+        # from a list: tuple() of a generator over-allocates while it grows
+        boundaries[d] = tuple([
+            {low[mask & ~(1 << (vtx - 1))]: 1 if pos % 2 == 0 else -1
+             for pos, vtx in enumerate(vertices_from_mask(mask))}
+            for mask in masks])
+    return ChainComplex(dims, boundaries)
 
 
 def reduced_simplicial_homology(k: SimplicialComplex) -> HomologySummary:

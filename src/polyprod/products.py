@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .complexes import (
     MAX_ENUMERATION_VERTICES,
     SimplicialComplex,
-    ensure_closed,
     face_sort_key,
     vertices_from_mask,
 )
@@ -50,7 +49,7 @@ from .homology import (
     kunneth_product,
     reduced_simplicial_homology,
 )
-from .pairs import PairModel, pair_chain
+from .pairs import PairModel, pair_chain, validate_pair
 from .series import RationalSeries, poly_add, poly_mul, poly_pow
 
 DEFAULT_CELL_BUDGET = 2_000_000
@@ -121,10 +120,11 @@ def _subset_label(vertices: Sequence[int]) -> str:
 
 
 def _check_arity(k: SimplicialComplex, pairs: Sequence[PairModel]) -> tuple[PairModel, ...]:
-    ensure_closed(k)
     pairs = tuple(pairs)
     if len(pairs) != k.m:
         raise ArityMismatch(f"{len(pairs)} pair models for m = {k.m} vertices")
+    for pair in dict.fromkeys(pairs):       # not a set: the first error is fixed
+        validate_pair(pair)
     return pairs
 
 
@@ -144,6 +144,8 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
     targets, so every built column is free of zero entries, and no entry is
     ever accumulated: two terms moving the same coordinate hit distinct
     targets, and terms moving distinct coordinates hit distinct cells.
+    The blocks are not checked: validate_pair (in _check_arity) has checked
+    d o d = 0 on each pair, so with the Koszul sign and K closed it holds.
 
     The budget counts the cells to be enumerated and is checked at call
     time, before any is built.  The blocks are then built one at a time, in
@@ -319,7 +321,6 @@ def hochster_homology(k: SimplicialComplex, n: int | Sequence[int],
     reduced homology once; nothing is kept across calls.  More than
     HOCHSTER_NONFACE_BOUND non-faces, 2^m - |K|, are refused up front.
     """
-    ensure_closed(k)
     dims = tuple(n for _ in range(k.m)) if isinstance(n, int) else tuple(n)
     if len(dims) != k.m:
         raise ArityMismatch(f"expected {k.m} sphere dimensions, got {len(dims)}")

@@ -6,7 +6,6 @@ import pytest
 
 from polyprod.complexes import (
     SimplicialComplex,
-    ensure_valid,
     face_sort_key,
     join_complex,
     mask_from_vertices,
@@ -29,7 +28,6 @@ from polyprod.catalog import (
 )
 from polyprod.errors import (
     FaceNotInComplex,
-    GhostVertex,
     InputError,
     NotDownwardClosed,
     SearchBoundExceeded,
@@ -68,12 +66,14 @@ def test_from_maximal_faces_closes_downward():
     assert k.maximal_faces == (0b111,)
 
 
-def test_from_faces_wraps_without_closure_but_validate_catches_it():
-    # from_faces trusts its input; the gap surfaces through validation
-    k = SimplicialComplex.from_faces(2, (0, 0b11))
+def test_from_faces_refuses_a_face_set_that_is_not_closed():
+    # the edge {1,2} without its vertices: the raw constructor trusts it,
+    # validate finds both gaps, and from_faces refuses it
+    k = SimplicialComplex(2, frozenset({0, 0b11}))
     assert [d.kind for d in validate(k)].count("not_downward_closed") == 2
-    with pytest.raises(NotDownwardClosed):
-        ensure_valid(k)
+    with pytest.raises(NotDownwardClosed) as err:
+        SimplicialComplex.from_faces(2, (0, 0b11))
+    assert err.value.face in {(1,), (2,)}
     with pytest.raises(InputError):
         SimplicialComplex.from_faces(2, (0b100,))    # vertex beyond m
 
@@ -110,13 +110,6 @@ def test_full_subcomplex_is_the_relabeled_faces_inside_the_subset(m):
             sub = k.full_subcomplex(verts)
             assert sub.m == len(verts)
             assert set(sub.face_tuples()) == expected, (k.face_tuples(), verts)
-
-
-def test_full_subcomplex_of_a_face_set_that_is_not_closed():
-    # the edge {1,2} without its vertices: no face lies inside {1}, so K_{1}
-    # is {empty}, not {sigma /\ I} = {empty, {1}}
-    sub = SimplicialComplex.from_faces(2, {0b11}).full_subcomplex((1,))
-    assert sub == SimplicialComplex.from_faces(1, {0})
 
 
 def test_skeleton_free_function_matches_method():
@@ -245,9 +238,6 @@ def test_validate_flags_ghost_vertex_only_in_strict_mode():
     assert validate(k) == []
     kinds = [d.kind for d in validate(k, strict=True)]
     assert kinds == ["ghost_vertex"]
-    ensure_valid(k)
-    with pytest.raises(GhostVertex):
-        ensure_valid(k, strict=True)
 
 
 def test_validate_detects_hand_built_closure_gap():
@@ -256,8 +246,6 @@ def test_validate_detects_hand_built_closure_gap():
     object.__setattr__(broken, "faces", frozenset({0, 0b11}))
     kinds = {d.kind for d in validate(broken)}
     assert "not_downward_closed" in kinds
-    with pytest.raises(NotDownwardClosed):
-        ensure_valid(broken)
 
 
 def test_cycle_complex_needs_three_vertices():

@@ -14,6 +14,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_f
 import polyprod.homology as homology_module
 from polyprod.complexes import SimplicialComplex, join_complex
 from polyprod.catalog import (
+    all_complexes_on,
     disjoint_points,
     pentagon,
     projective_plane,
@@ -346,12 +347,21 @@ def test_smith_pivots_finish_without_the_dense_kernel(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_check_boundaries_rejects_nonsquare_zero():
-    # the constructor checks shapes only; the composite is checked separately
-    c = make_chain_complex({0: 1, 1: 1, 2: 1}, {1: [{0: 1}], 2: [{0: 1}]})
+    # ChainComplex trusts its caller; make_chain_complex runs the check
+    dims, boundaries = {0: 1, 1: 1, 2: 1}, {1: ({0: 1},), 2: ({0: 1},)}
     with pytest.raises(BoundaryNotSquareZero):
-        check_boundaries(c)
+        check_boundaries(ChainComplex(dims, boundaries))
     with pytest.raises(BoundaryNotSquareZero):
-        homology(c)
+        make_chain_complex(dims, boundaries)
+
+
+def test_reduced_homology_refuses_a_1_cell_whose_boundary_does_not_sum_to_zero():
+    # d o d = 0 holds without the augmentation, and fails through it
+    c = make_chain_complex({0: 1, 1: 1}, {1: [{0: 2}]})
+    with pytest.raises(BoundaryNotSquareZero):
+        homology(c, reduced=True)
+    with pytest.raises(BoundaryNotSquareZero):
+        augmented(c)
 
 
 def test_make_chain_complex_shape_mismatch():
@@ -397,6 +407,14 @@ def test_projective_plane_torsion():
     full = homology(simplicial_chain_complex(projective_plane()))
     assert full.betti(0) == 1
     assert full.torsion(1) == (2,)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_simplicial_chains_square_to_zero(m):
+    # simplicial_chain_complex builds its result unchecked
+    for k in all_complexes_on(m, up_to_iso=False):
+        for reduced in (False, True):
+            check_boundaries(simplicial_chain_complex(k, reduced=reduced))
 
 
 def test_euler_characteristic_matches_alternating_betti():

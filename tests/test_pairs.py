@@ -3,8 +3,9 @@ cone construction, certificates."""
 
 import pytest
 
+import polyprod.homology as homology_module
 from polyprod.catalog import square, standard_pair_library
-from polyprod.errors import InputError
+from polyprod.errors import BoundaryNotSquareZero, InputError
 from polyprod.homology import check_boundaries, homology
 from polyprod.pairs import (
     PairModel,
@@ -171,3 +172,17 @@ def test_validate_pair_rejects_broken_models():
         validate_pair(PairModel(boundaries=((), (), ((1, 0),)), **rp2))
     with pytest.raises(InputError, match="repeats a boundary target"):
         validate_pair(PairModel(boundaries=((), (), ((1, 1), (1, 1))), **rp2))
+
+
+def test_validate_pair_checks_that_the_boundary_squares_to_zero_once(monkeypatch):
+    # each cell meets every structural rule, yet d(d(g)) = e
+    bad = PairModel(name="bad", dims=(0, 1, 2, 3), in_a=(True,) * 4,
+                    boundaries=((), (), ((1, 1),), ((2, 1),)), basepoint=0,
+                    cell_ids=("v", "e", "f", "g"), null_homotopic_inclusion=False)
+    with pytest.raises(BoundaryNotSquareZero):
+        validate_pair(bad)
+    pair = rp2_pair()
+    calls = []
+    monkeypatch.setattr(homology_module, "check_boundaries", calls.append)
+    validate_pair(pair)
+    assert len(calls) == 1

@@ -7,6 +7,7 @@ against previously recorded output.
 
 import random
 import weakref
+from dataclasses import replace
 from itertools import product
 from math import comb
 
@@ -38,6 +39,7 @@ from polyprod.errors import (
     TorsionInShiftedSubcomplex,
 )
 from polyprod.homology import (
+    check_boundaries,
     direct_sum,
     homology,
     quotient_complex,
@@ -224,6 +226,29 @@ def test_a_face_set_that_is_not_a_complex_is_refused(entry):
     assert err.value.face in {(1,), (2,)}
 
 
+# one target listed twice: validate_pair refuses both models; read into a
+# column, the second entry overwrites the first, so the disk would pass as
+# (D2,S1) and the plane as RP2
+REPEATED_TARGET_DISK = replace(ds(1), boundaries=((), (), ((1, 1), (1, 1))))
+REPEATED_TARGET_RP2 = replace(rp2_space(), boundaries=((), (), ((1, 2), (1, 2))))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda pairs: moment_angle_chain(square(), pairs),
+    lambda pairs: smash_moment_angle_chain(square(), pairs),
+    # at the bare call, before any block is asked for
+    lambda pairs: moment_angle_blocks(square(), pairs),
+    lambda pairs: stable_splitting(square(), pairs),
+    lambda pairs: wedge_lemma_decomposition(square(), pairs),
+    lambda pairs: contractible_X_summary(
+        square(), [rp2_space(), rp2_space(), REPEATED_TARGET_RP2, rp2_space()]),
+], ids=["moment_angle_chain", "smash_moment_angle_chain", "moment_angle_blocks",
+        "stable_splitting", "wedge_lemma_decomposition", "contractible_X_summary"])
+def test_a_malformed_pair_model_is_refused(entry):
+    with pytest.raises(InputError, match="repeats a boundary target"):
+        entry([ds(1), ds(1), REPEATED_TARGET_DISK, ds(1)])
+
+
 def test_chain_model_is_deterministic():
     a = moment_angle_chain(pentagon(), [ds(1)] * 5)
     b = moment_angle_chain(pentagon(), [ds(1)] * 5)
@@ -335,8 +360,12 @@ def _built(blocks):
 
 
 def _assert_builders_agree(k, pairs, basis, budget=products_module.DEFAULT_CELL_BUDGET):
+    # the builder yields its blocks unchecked, so d o d = 0 is asserted here
     pairs = tuple(pairs)
-    got = _built(products_module._product_chain(k, pairs, budget, basis))
+    blocks = list(products_module._product_chain(k, pairs, budget, basis))
+    for _, block in blocks:
+        check_boundaries(block)
+    got = _built(blocks)
     assert got == _built(tuple_keyed_product_blocks(k, pairs, basis))
     return got
 

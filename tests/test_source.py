@@ -1,12 +1,14 @@
 """Source hygiene of the package modules, read with ast alone."""
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyprod"
 MODULES = sorted(PACKAGE.glob("*.py"))
+ERRORS = PACKAGE / "errors.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +47,37 @@ def test_unused_import_finder_sees_plain_and_from_imports():
               "def f(x: Iterator[int]) -> int:\n"
               "    return os.path.sep + chain(x)\n")
     assert unused_imports(source) == ["system", "iter_product"]
+
+
+def names_read(source: str) -> set[str]:
+    """Every Name node and attribute name of a module; an import alone
+    names nothing."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+@cache
+def names_read_outside_errors() -> frozenset[str]:
+    return frozenset().union(*(names_read(p.read_text()) for p in MODULES if p != ERRORS))
+
+
+ERROR_TYPES = [node.name for node in ast.parse(ERRORS.read_text()).body
+               if isinstance(node, ast.ClassDef)]
+
+
+def test_errors_module_defines_error_types():
+    assert {"PolyprodError", "InputError", "BoundaryNotSquareZero"} <= set(ERROR_TYPES)
+
+
+@pytest.mark.parametrize("name", ERROR_TYPES)
+def test_every_error_type_is_named_by_another_module(name):
+    assert name in names_read_outside_errors()
+
+
+def test_names_read_skips_bare_imports():
+    source = ("from .errors import Dead, Live\n"
+              "import polyprod.errors as errors\n"
+              "def f(x):\n"
+              "    raise errors.Raised(x) if x else Live()\n")
+    assert names_read(source) == {"errors", "Raised", "x", "Live"}
