@@ -216,13 +216,13 @@ def _cmd_porter(args) -> int:
             raise InputError("--y-dims must be a comma-separated integer list") from None
     else:
         dims = (args.n,) * args.m
-    spheres = porter_decomposition(args.m, args.q, dims)
+    wedge = porter_decomposition(args.m, args.q, dims)
+    spheres = [(d, betti) for d, betti, _ in wedge.groups]
     payload = {
         "m": args.m, "q": args.q, "y_dims": list(dims),
-        "spheres": [{"dimension": d, "multiplicity": c}
-                    for d, c in spheres.spheres],
+        "spheres": [{"dimension": d, "multiplicity": c} for d, c in spheres],
     }
-    _emit(args, payload, list(spheres.spheres) or [("empty", "wedge")])
+    _emit(args, payload, spheres or [("empty", "wedge")])
     return EXIT_OK
 
 
@@ -312,11 +312,11 @@ def _cmd_shifted(args) -> int:
     }
     rows = [("shifted", verdict.shifted)]
     if verdict.shifted and args.n is not None:
-        spheres = sphere_wedge_report(k, args.n, labeling=verdict.labeling)
+        wedge = sphere_wedge_report(k, args.n, labeling=verdict.labeling)
+        spheres = [(d, betti) for d, betti, _ in wedge.groups]
         payload["n"] = args.n
-        payload["spheres"] = [{"dimension": d, "multiplicity": c}
-                              for d, c in spheres.spheres]
-        rows.extend(spheres.spheres)
+        payload["spheres"] = [{"dimension": d, "multiplicity": c} for d, c in spheres]
+        rows.extend(spheres)
     _emit(args, payload, rows)
     return EXIT_OK
 

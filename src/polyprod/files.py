@@ -39,10 +39,34 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _add_face(faces: dict[tuple[int, ...], None], verts: tuple[int, ...],
+              m: int, where: str) -> None:
+    """Add a sorted face to faces, an ordered set, refusing a repeated
+    vertex, a face given twice and a vertex outside 1..m."""
+    if len(set(verts)) != len(verts):
+        raise InputError(f"{where}: repeated vertex in face {verts}")
+    if verts in faces:
+        raise InputError(f"{where}: duplicate face {verts}")
+    for v in verts:
+        if not 1 <= v <= m:
+            raise InputError(f"{where}: vertex {v} outside 1..{m}")
+    faces[verts] = None
+
+
+def _read(path, what: str, parse_json, parse_text):
+    """Read a file and parse it as JSON if it starts with '{', else as text."""
+    source = str(path)
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {source}: {exc}") from None
+    parse = parse_json if text.lstrip().startswith("{") else parse_text
+    return parse(text, source)
+
+
 def parse_complex_text(text: str, source: str = "<string>") -> SimplicialComplex:
     m: int | None = None
-    faces: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    faces: dict[tuple[int, ...], None] = {}
     for lineno, line in _meaningful_lines(text):
         tokens = line.split()
         directive, rest = tokens[0], tokens[1:]
@@ -63,15 +87,7 @@ def parse_complex_text(text: str, source: str = "<string>") -> SimplicialComplex
                 raise InputError(f"{where}: face vertices must be integers") from None
             if not verts:
                 raise InputError(f"{where}: face needs at least one vertex")
-            if len(set(verts)) != len(verts):
-                raise InputError(f"{where}: repeated vertex in face")
-            if verts in seen:
-                raise InputError(f"{where}: duplicate face {verts}")
-            seen.add(verts)
-            for v in verts:
-                if not 1 <= v <= m:
-                    raise InputError(f"{where}: vertex {v} outside 1..{m}")
-            faces.append(verts)
+            _add_face(faces, verts, m, where)
         else:
             raise InputError(f"{where}: unknown directive {directive!r}")
     if m is None:
@@ -95,34 +111,17 @@ def parse_complex_json(text: str, source: str = "<string>") -> SimplicialComplex
         raise InputError(f"{source}: \"m\" must be a positive integer")
     if not isinstance(raw_faces, list):
         raise InputError(f"{source}: \"maximal_faces\" must be a list of vertex lists")
-    faces = []
-    seen = set()
+    faces: dict[tuple[int, ...], None] = {}
     for entry in raw_faces:
         if (not isinstance(entry, list) or not entry
                 or not all(_is_int(v) for v in entry)):
             raise InputError(f"{source}: each face must be a nonempty integer list")
-        verts = tuple(sorted(entry))
-        if len(set(verts)) != len(verts):
-            raise InputError(f"{source}: repeated vertex in face {verts}")
-        if verts in seen:
-            raise InputError(f"{source}: duplicate face {verts}")
-        seen.add(verts)
-        for v in verts:
-            if not 1 <= v <= m:
-                raise InputError(f"{source}: vertex {v} outside 1..{m}")
-        faces.append(verts)
+        _add_face(faces, tuple(sorted(entry)), m, source)
     return SimplicialComplex.from_maximal_faces(m, faces)
 
 
 def load_complex(path) -> SimplicialComplex:
-    source = str(path)
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read complex file {source}: {exc}") from None
-    if text.lstrip().startswith("{"):
-        return parse_complex_json(text, source)
-    return parse_complex_text(text, source)
+    return _read(path, "complex", parse_complex_json, parse_complex_text)
 
 
 def parse_characteristic_text(text: str, source: str = "<string>") -> CharacteristicMatrix:
@@ -161,14 +160,7 @@ def parse_characteristic_json(text: str, source: str = "<string>") -> Characteri
 
 
 def load_characteristic(path) -> CharacteristicMatrix:
-    source = str(path)
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read matrix file {source}: {exc}") from None
-    if text.lstrip().startswith("{"):
-        return parse_characteristic_json(text, source)
-    return parse_characteristic_text(text, source)
+    return _read(path, "matrix", parse_characteristic_json, parse_characteristic_text)
 
 
 def parse_pair_spec(spec: str) -> PairModel:

@@ -5,6 +5,10 @@ cells of A must form a subcomplex containing the basepoint), and an integer
 boundary.  Models where every cell lies in A double as models of plain based
 spaces; cone_pair builds (CA, A) over any such space model.
 
+A PairModel checks itself when it is built, by hand, by a constructor here
+or by dataclasses.replace, so the product builders trust every pair they
+are given.  A pair has a handful of cells and no hot path builds one.
+
 null_homotopic_inclusion is a structural certificate that A -> X is
 null-homotopic: constructors set it when the construction guarantees it
 (disk/sphere pairs, cones, single-point A), and decompositions that are only
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, vertices_from_mask
+from .complexes import SimplicialComplex, mask_from_vertices, vertices_from_mask
 from .errors import InputError
 from .homology import ChainComplex, make_chain_complex
 
@@ -29,6 +33,44 @@ class PairModel:
     basepoint: int
     cell_ids: tuple[str, ...]
     null_homotopic_inclusion: bool = False
+
+    def __post_init__(self) -> None:
+        """Raise InputError on a malformed model, BoundaryNotSquareZero if
+        d o d != 0.  A boundary lists each target once, with a nonzero
+        coefficient, one dimension down, and inside A for a cell of A.
+        """
+        n = self.n_cells()
+        if not n:
+            raise InputError("pair model has no cells")
+        if len(self.in_a) != n or len(self.boundaries) != n or len(self.cell_ids) != n:
+            raise InputError("pair model field lengths disagree")
+        b = self.basepoint
+        if not 0 <= b < n:
+            raise InputError("basepoint index out of range")
+        if self.dims[b] != 0 or not self.in_a[b] or self.boundaries[b]:
+            raise InputError("basepoint must be a 0-cell of A with zero boundary")
+        for i, bnd in enumerate(self.boundaries):
+            if self.dims[i] < 0:
+                raise InputError(f"cell {self.cell_ids[i]} has negative dimension")
+            for t, coeff in bnd:
+                if not 0 <= t < n:
+                    raise InputError("boundary target out of range")
+                if not coeff:
+                    raise InputError(
+                        f"cell {self.cell_ids[i]} has a zero boundary coefficient")
+                if self.dims[t] != self.dims[i] - 1:
+                    raise InputError(
+                        f"cell {self.cell_ids[i]}: boundary target {self.cell_ids[t]} "
+                        f"is not one dimension down")
+                if self.in_a[i] and not self.in_a[t]:
+                    raise InputError(
+                        f"A is not a subcomplex: {self.cell_ids[i]} hits {self.cell_ids[t]}")
+            if len({t for t, _ in bnd}) != len(bnd):
+                raise InputError(f"cell {self.cell_ids[i]} repeats a boundary target")
+            if self.dims[i] == 1 and sum(c for _, c in bnd) != 0:
+                raise InputError(
+                    f"1-cell {self.cell_ids[i]} has boundary with nonzero vertex sum")
+        pair_chain(self)        # make_chain_complex checks d o d = 0
 
     def n_cells(self) -> int:
         return len(self.dims)
@@ -55,50 +97,9 @@ def _build(name: str, cells, basepoint_id: str,
     boundaries = tuple(
         tuple(sorted((pos[t], int(v)) for t, v in c[3].items() if v))
         for c in cells)
-    pair = PairModel(name=name, dims=dims, in_a=in_a, boundaries=boundaries,
+    return PairModel(name=name, dims=dims, in_a=in_a, boundaries=boundaries,
                      basepoint=pos[basepoint_id], cell_ids=tuple(ids),
                      null_homotopic_inclusion=null_homotopic)
-    validate_pair(pair)
-    return pair
-
-
-def validate_pair(pair: PairModel) -> None:
-    """Raise InputError on a malformed model (see class docstring).
-
-    A boundary lists each target once, with a nonzero coefficient.
-    """
-    n = pair.n_cells()
-    if not n:
-        raise InputError("pair model has no cells")
-    if len(pair.in_a) != n or len(pair.boundaries) != n or len(pair.cell_ids) != n:
-        raise InputError("pair model field lengths disagree")
-    b = pair.basepoint
-    if not 0 <= b < n:
-        raise InputError("basepoint index out of range")
-    if pair.dims[b] != 0 or not pair.in_a[b] or pair.boundaries[b]:
-        raise InputError("basepoint must be a 0-cell of A with zero boundary")
-    for i, bnd in enumerate(pair.boundaries):
-        if pair.dims[i] < 0:
-            raise InputError(f"cell {pair.cell_ids[i]} has negative dimension")
-        for t, coeff in bnd:
-            if not 0 <= t < n:
-                raise InputError("boundary target out of range")
-            if not coeff:
-                raise InputError(
-                    f"cell {pair.cell_ids[i]} has a zero boundary coefficient")
-            if pair.dims[t] != pair.dims[i] - 1:
-                raise InputError(
-                    f"cell {pair.cell_ids[i]}: boundary target {pair.cell_ids[t]} "
-                    f"is not one dimension down")
-            if pair.in_a[i] and not pair.in_a[t]:
-                raise InputError(
-                    f"A is not a subcomplex: {pair.cell_ids[i]} hits {pair.cell_ids[t]}")
-        if len({t for t, _ in bnd}) != len(bnd):
-            raise InputError(f"cell {pair.cell_ids[i]} repeats a boundary target")
-        if pair.dims[i] == 1 and sum(c for _, c in bnd) != 0:
-            raise InputError(
-                f"1-cell {pair.cell_ids[i]} has boundary with nonzero vertex sum")
-    pair_chain(pair)        # make_chain_complex checks d o d = 0
 
 
 def pair_chain(pair: PairModel, *, a_only: bool = False,
@@ -182,7 +183,7 @@ def rp2_space() -> PairModel:
 
 def simplicial_space(k: SimplicialComplex, basepoint_vertex: int) -> PairModel:
     """All simplices of K as an all-A model based at the given vertex."""
-    bmask = 1 << (basepoint_vertex - 1)
+    bmask = mask_from_vertices((basepoint_vertex,), k.m)
     if bmask not in k.faces:
         raise InputError(f"basepoint vertex {basepoint_vertex} is not a face")
     cells = []

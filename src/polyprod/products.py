@@ -49,7 +49,7 @@ from .homology import (
     kunneth_product,
     reduced_simplicial_homology,
 )
-from .pairs import PairModel, pair_chain, validate_pair
+from .pairs import PairModel, pair_chain
 from .series import RationalSeries, poly_add, poly_mul, poly_pow
 
 DEFAULT_CELL_BUDGET = 2_000_000
@@ -79,39 +79,6 @@ class SplittingResult:
     verified: bool
 
 
-@dataclass(frozen=True)
-class SphereList:
-    """Wedge-of-spheres bookkeeping: (dimension, multiplicity) pairs."""
-
-    spheres: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_counts(cls, counts: dict[int, int]) -> "SphereList":
-        items = []
-        for dim in sorted(counts):
-            mult = counts[dim]
-            if mult < 0:
-                raise InputError(f"negative multiplicity at dimension {dim}")
-            if mult:
-                items.append((dim, mult))
-        return cls(tuple(items))
-
-    def to_summary(self) -> HomologySummary:
-        return HomologySummary(tuple((d, mult, ()) for d, mult in self.spheres))
-
-    def shifted(self, k: int) -> "SphereList":
-        return SphereList(tuple((d + k, mult) for d, mult in self.spheres))
-
-    def total_count(self) -> int:
-        return sum(mult for _, mult in self.spheres)
-
-    def __str__(self) -> str:
-        if not self.spheres:
-            return "(empty wedge)"
-        return " v ".join(f"{mult} x S^{d}" if mult > 1 else f"S^{d}"
-                          for d, mult in self.spheres)
-
-
 def _subset_label(vertices: Sequence[int]) -> str:
     return "{" + ",".join(map(str, vertices)) + "}"
 
@@ -123,8 +90,6 @@ def _check_arity(k: SimplicialComplex, pairs: Sequence[PairModel]) -> tuple[Pair
     pairs = tuple(pairs)
     if len(pairs) != k.m:
         raise ArityMismatch(f"{len(pairs)} pair models for m = {k.m} vertices")
-    for pair in dict.fromkeys(pairs):       # not a set: the first error is fixed
-        validate_pair(pair)
     return pairs
 
 
@@ -134,18 +99,19 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
 
     basis "cellular" is the tensor product of the pairs' cellular bases,
     yielded as one block under the full mask.  basis "split" replaces each
-    0-cell u other than a coordinate's basepoint * by u - *.  validate_pair
-    makes the vertices of every 1-cell boundary sum to zero, so in the new
-    basis a boundary only loses its entries on *.  The complex is then the
-    direct sum of the blocks I = {i : c_i != *}, and block I is
-    Zhat(K_I;(X,A)_I); block 0 is the single cell (*, ..., *).  basis
-    "smash" is block [m] alone: * is left out of every coordinate's A-cells.
-    validate_pair also rules out zero coefficients and repeated boundary
-    targets, so every built column is free of zero entries, and no entry is
-    ever accumulated: two terms moving the same coordinate hit distinct
-    targets, and terms moving distinct coordinates hit distinct cells.
-    The blocks are not checked: validate_pair (in _check_arity) has checked
-    d o d = 0 on each pair, so with the Koszul sign and K closed it holds.
+    0-cell u other than a coordinate's basepoint * by u - *.  A PairModel
+    checks itself when it is built, and makes the vertices of every 1-cell
+    boundary sum to zero, so in the new basis a boundary only loses its
+    entries on *.  The complex is then the direct sum of the blocks
+    I = {i : c_i != *}, and block I is Zhat(K_I;(X,A)_I); block 0 is the
+    single cell (*, ..., *).  basis "smash" is block [m] alone: * is left
+    out of every coordinate's A-cells.  That check also rules out zero
+    coefficients and repeated boundary targets, so every built column is
+    free of zero entries, and no entry is ever accumulated: two terms moving
+    the same coordinate hit distinct targets, and terms moving distinct
+    coordinates hit distinct cells.  The blocks are not checked: each pair
+    checked d o d = 0 when it was built, so with the Koszul sign and K
+    closed it holds.
 
     The budget counts the cells to be enumerated and is checked at call
     time, before any is built.  The blocks are then built one at a time, in
@@ -485,8 +451,9 @@ def poincare_polynomial(k: SimplicialComplex,
 
 
 def porter_decomposition(m: int, q: int,
-                         y_dims: Sequence[int]) -> SphereList:
-    """Sphere wedge with the homology of Z(Delta[m-1]_q; (CY, Y)), Y_i = S^{y_i}.
+                         y_dims: Sequence[int]) -> HomologySummary:
+    """H-tilde of Z(Delta[m-1]_q; (CY, Y)), Y_i = S^{y_i}, a wedge of spheres:
+    the Betti number in degree d counts its spheres S^d.
 
     Every subset I with |I| > q+1 contributes a sphere of dimension
     q + 1 + sum of the y_i over I, with multiplicity C(|I|-1, q+1).  This is
@@ -519,30 +486,26 @@ def porter_decomposition(m: int, q: int,
         for d, count in table[s].items():
             dim = q + 1 + d
             counts[dim] = counts.get(dim, 0) + comb(s - 1, q + 1) * count
-    return SphereList.from_counts(counts)
+    return HomologySummary.from_map({d: (count, ()) for d, count in counts.items()})
 
 
 def sphere_wedge_report(k: SimplicialComplex, n: int,
-                        labeling: Sequence[int] | None = None) -> SphereList:
-    """Wedge of spheres carried by Sigma Z(K;(D^{n+1},S^n)) for a shifted K.
+                        labeling: Sequence[int] | None = None) -> HomologySummary:
+    """H-tilde of Sigma Z(K;(D^{n+1},S^n)) for a shifted K, a wedge of spheres:
+    the Betti number in degree d counts its spheres S^d.
 
-    Each Hochster summand contributes a sphere of dimension d + 1 for each
-    Betti number of its homology at degree d, that is j + 2 + n|I| for
-    H-tilde_j(K_I).  Full subcomplexes of a shifted complex are
-    torsion-free, and a torsion violation is reported as its own error.
-    Dimensions are at the suspended level; subtract 1 to land on Z itself.
+    It is the Hochster total shifted up by 1.  Full subcomplexes of a
+    shifted complex are torsion-free, and a torsion violation is reported
+    as its own error.  Subtract 1 from a degree to land on Z itself.
     """
     verdict = k.is_shifted(labeling)
     if not verdict.shifted:
         raise NotShifted(
             f"no labeling makes the complex shifted "
             f"(counterexample face {verdict.counterexample})")
-    _, summands = hochster_homology(k, n)
-    counts: dict[int, int] = {}
+    total, summands = hochster_homology(k, n)
     for s in summands:
         if not s.homology.is_torsion_free():
             raise TorsionInShiftedSubcomplex(
                 f"summand {s.description} has torsion {s.homology}")
-        for d, betti, _ in s.homology.groups:
-            counts[d + 1] = counts.get(d + 1, 0) + betti
-    return SphereList.from_counts(counts)
+    return total.shifted(1)

@@ -24,14 +24,13 @@ from polyprod.complexes import (
 from polyprod.errors import ArityMismatch, FaceNotInComplex, InputError
 from polyprod.homology import ChainComplex, HomologySummary, _elimination_orders
 from polyprod.pairs import PairModel
-from polyprod.products import SphereList
 from polyprod.series import RationalSeries
 
 
 # -- Porter's skeleton wedges -------------------------------------------------
 
 def porter_decomposition_by_subsets(m: int, q: int,
-                                    y_dims: Sequence[int]) -> SphereList:
+                                    y_dims: Sequence[int]) -> HomologySummary:
     """The oracle-confirmed bookkeeping, summed over every subset I with
     |I| > q+1: a sphere of dimension q + 1 + sum of the y_i over I, with
     multiplicity C(|I|-1, q+1)."""
@@ -42,11 +41,11 @@ def porter_decomposition_by_subsets(m: int, q: int,
             continue
         dim = q + 1 + sum(y_dims[i] for i in range(m) if mask >> i & 1)
         counts[dim] = counts.get(dim, 0) + comb(size - 1, q + 1)
-    return SphereList.from_counts(counts)
+    return HomologySummary.from_map({d: (count, ()) for d, count in counts.items()})
 
 
 def porter_decomposition_printed_variant(m: int, q: int,
-                                         y_dims: Sequence[int]) -> SphereList:
+                                         y_dims: Sequence[int]) -> HomologySummary:
     """Alternative bookkeeping with suspension |I| + 1 and multiplicity
     C(|I|+1, q+1) over the same subsets.
 
@@ -66,7 +65,7 @@ def porter_decomposition_printed_variant(m: int, q: int,
             continue
         dim = size + 1 + sum(dims[i] for i in range(m) if mask >> i & 1)
         counts[dim] = counts.get(dim, 0) + comb(size + 1, q + 1)
-    return SphereList.from_counts(counts)
+    return HomologySummary.from_map({d: (count, ()) for d, count in counts.items()})
 
 
 # -- field coefficients -------------------------------------------------------

@@ -90,6 +90,30 @@ def test_json_parser_rejects_malformed_payloads():
         parse_complex_json('{"m": 2, "maximal_faces": [[1], [1]]}')
 
 
+def _complex_text(faces):
+    return "m 2\n" + "".join("face " + " ".join(map(str, f)) + "\n" for f in faces)
+
+
+def _complex_json(faces):
+    return json.dumps({"m": 2, "maximal_faces": faces})
+
+
+# the bad face is the second one, on line 3 of the text file
+@pytest.mark.parametrize("parse, render, where", [
+    (parse_complex_text, _complex_text, "bad.cx:3"),
+    (parse_complex_json, _complex_json, "bad.cx"),
+], ids=["text", "json"])
+@pytest.mark.parametrize("faces, message", [
+    ([[1, 2], [2, 2]], "repeated vertex in face (2, 2)"),
+    ([[1, 2], [2, 1]], "duplicate face (1, 2)"),
+    ([[1, 2], [2, 3]], "vertex 3 outside 1..2"),
+], ids=["repeated-vertex", "duplicate-face", "vertex-range"])
+def test_complex_parsers_refuse_a_bad_face(parse, render, where, faces, message):
+    with pytest.raises(InputError) as err:
+        parse(render(faces), source="bad.cx")
+    assert str(err.value) == f"{where}: {message}"
+
+
 @pytest.mark.parametrize("payload", [
     {"m": True, "maximal_faces": [[1]]},
     {"m": 2, "maximal_faces": [[True]]},
@@ -136,7 +160,8 @@ def test_pair_spec_parsing(tmp_path):
     assert cone.null_homotopic_inclusion
     based = parse_pair_spec(f"based:{p}:2")
     assert len(based.a_cells()) == 1
-    for bad in ("disk-sphere:x", "disk-sphere:-1", "unknown:3", "cone:missing"):
+    for bad in ("disk-sphere:x", "disk-sphere:-1", "unknown:3", "cone:missing",
+                f"cone:{p}:0", f"based:{p}:-1"):
         with pytest.raises(InputError):
             parse_pair_spec(bad)
 
@@ -239,6 +264,13 @@ def test_m_directive_with_a_non_ascii_digit_is_an_input_error(capsys, tmp_path, 
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "m needs one positive integer" in err
     assert "Traceback" not in err
+
+
+def test_a_basepoint_vertex_out_of_range_is_an_input_error(capsys, square_file):
+    code, out, err = run(capsys, "homology", square_file,
+                         "--pair", f"cone:{square_file}:0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "out of range 1..4" in err
 
 
 def test_malformed_usage_exits_one(capsys):

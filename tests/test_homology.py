@@ -52,7 +52,6 @@ from polyprod.pairs import (
     pair_disk_sphere,
     rp2_space,
     simplicial_space,
-    validate_pair,
 )
 from polyprod.products import moment_angle_chain
 
@@ -109,11 +108,9 @@ def random_matrix(rng, rows, cols):
 
 def moore_space(k: int) -> PairModel:
     """Cells v, e, f with boundary f = k*e: a mod-k Moore space in degree 1."""
-    space = PairModel(name=f"M(Z/{k},1)", dims=(0, 1, 2), in_a=(True,) * 3,
-                      boundaries=((), (), ((1, k),)), basepoint=0,
-                      cell_ids=("v", "e", "f"))
-    validate_pair(space)
-    return space
+    return PairModel(name=f"M(Z/{k},1)", dims=(0, 1, 2), in_a=(True,) * 3,
+                     boundaries=((), (), ((1, k),)), basepoint=0,
+                     cell_ids=("v", "e", "f"))
 
 
 def product_chain(a: PairModel, b: PairModel) -> ChainComplex:

@@ -22,8 +22,8 @@ from polyprod.pairs import (
     simplicial_space,
     sphere_pair,
     sphere_space,
-    validate_pair,
 )
+from polyprod.products import stable_splitting
 
 
 def betti_map(summary):
@@ -32,7 +32,6 @@ def betti_map(summary):
 
 def test_library_pairs_validate_and_square_to_zero():
     for pair in standard_pair_library():
-        validate_pair(pair)
         check_boundaries(pair_chain(pair))
         check_boundaries(pair_chain(pair, a_only=True))
 
@@ -81,7 +80,6 @@ def test_space_models_are_not_certified():
 
 def test_cone_over_rp2():
     pair = rp2_pair()
-    validate_pair(pair)
     assert pair.n_cells() == 7
     assert pair.null_homotopic_inclusion
     # total space contractible, subspace keeps the torsion
@@ -93,14 +91,12 @@ def test_cone_over_rp2():
 def test_cone_pair_over_arbitrary_space():
     for space in (s0_space(), circle_space(), sphere_space(2)):
         pair = cone_pair(space)
-        validate_pair(pair)
         assert pair.n_cells() == 2 * space.n_cells() + 1
         assert homology(pair_chain(pair), reduced=True).is_trivial()
 
 
 def test_simplicial_space_of_square_is_a_circle():
     space = simplicial_space(square(), basepoint_vertex=1)
-    validate_pair(space)
     h = homology(pair_chain(space), reduced=True)
     assert betti_map(h) == {1: 1}
     with pytest.raises(InputError):
@@ -117,7 +113,6 @@ def test_pair_cone_matches_cone_of_simplicial_space():
 
 def test_pair_space_basepoint_certificate():
     pair = pair_space_basepoint(square(), 2)
-    validate_pair(pair)
     assert pair.null_homotopic_inclusion      # inclusion of a point
     assert len(tuple(pair.a_cells())) == 1
 
@@ -135,54 +130,51 @@ def test_validate_pair_rejects_broken_models():
     good = pair_disk_sphere(1)
 
     # basepoint outside of A
-    bad = PairModel(name="bad", dims=good.dims, in_a=(False,) + good.in_a[1:],
-                    boundaries=good.boundaries, basepoint=good.basepoint,
-                    cell_ids=good.cell_ids,
-                    null_homotopic_inclusion=False)
     with pytest.raises(InputError):
-        validate_pair(bad)
+        PairModel(name="bad", dims=good.dims, in_a=(False,) + good.in_a[1:],
+                  boundaries=good.boundaries, basepoint=good.basepoint,
+                  cell_ids=good.cell_ids, null_homotopic_inclusion=False)
 
     # 1-cell whose boundary coefficients do not cancel
-    bad2 = PairModel(name="bad2", dims=(0, 1), in_a=(True, True),
-                     boundaries=((), ((0, 1),)), basepoint=0,
-                     cell_ids=("v", "e"), null_homotopic_inclusion=False)
     with pytest.raises(InputError):
-        validate_pair(bad2)
+        PairModel(name="bad2", dims=(0, 1), in_a=(True, True),
+                  boundaries=((), ((0, 1),)), basepoint=0,
+                  cell_ids=("v", "e"), null_homotopic_inclusion=False)
 
     # A not closed under the boundary
-    bad3 = PairModel(name="bad3", dims=(0, 0, 1), in_a=(True, False, True),
-                     boundaries=((), (), ((0, 1), (1, -1))), basepoint=0,
-                     cell_ids=("v", "w", "e"), null_homotopic_inclusion=False)
     with pytest.raises(InputError):
-        validate_pair(bad3)
+        PairModel(name="bad3", dims=(0, 0, 1), in_a=(True, False, True),
+                  boundaries=((), (), ((0, 1), (1, -1))), basepoint=0,
+                  cell_ids=("v", "w", "e"), null_homotopic_inclusion=False)
 
     # boundary target not one dimension down
-    bad4 = PairModel(name="bad4", dims=(0, 2), in_a=(True, True),
-                     boundaries=((), ((0, 1), (0, -1))), basepoint=0,
-                     cell_ids=("v", "f"), null_homotopic_inclusion=False)
     with pytest.raises(InputError):
-        validate_pair(bad4)
+        PairModel(name="bad4", dims=(0, 2), in_a=(True, True),
+                  boundaries=((), ((0, 1), (0, -1))), basepoint=0,
+                  cell_ids=("v", "f"), null_homotopic_inclusion=False)
 
     # product columns are built from boundary lists as they stand, so each
     # target appears once and with a nonzero coefficient
     rp2 = dict(name="rp2", dims=(0, 1, 2), in_a=(True,) * 3, basepoint=0,
                cell_ids=("v", "e", "f"), null_homotopic_inclusion=False)
-    validate_pair(PairModel(boundaries=((), (), ((1, 2),)), **rp2))
+    PairModel(boundaries=((), (), ((1, 2),)), **rp2)
     with pytest.raises(InputError, match="zero boundary coefficient"):
-        validate_pair(PairModel(boundaries=((), (), ((1, 0),)), **rp2))
+        PairModel(boundaries=((), (), ((1, 0),)), **rp2)
     with pytest.raises(InputError, match="repeats a boundary target"):
-        validate_pair(PairModel(boundaries=((), (), ((1, 1), (1, 1))), **rp2))
+        PairModel(boundaries=((), (), ((1, 1), (1, 1))), **rp2)
 
 
 def test_validate_pair_checks_that_the_boundary_squares_to_zero_once(monkeypatch):
     # each cell meets every structural rule, yet d(d(g)) = e
-    bad = PairModel(name="bad", dims=(0, 1, 2, 3), in_a=(True,) * 4,
-                    boundaries=((), (), ((1, 1),), ((2, 1),)), basepoint=0,
-                    cell_ids=("v", "e", "f", "g"), null_homotopic_inclusion=False)
     with pytest.raises(BoundaryNotSquareZero):
-        validate_pair(bad)
-    pair = rp2_pair()
+        PairModel(name="bad", dims=(0, 1, 2, 3), in_a=(True,) * 4,
+                  boundaries=((), (), ((1, 1),), ((2, 1),)), basepoint=0,
+                  cell_ids=("v", "e", "f", "g"), null_homotopic_inclusion=False)
     calls = []
     monkeypatch.setattr(homology_module, "check_boundaries", calls.append)
-    validate_pair(pair)
-    assert len(calls) == 1
+    rp2_space()
+    assert len(calls) == 1                # one check per construction
+    pairs = [rp2_pair()] * 4
+    calls.clear()
+    stable_splitting(square(), pairs)
+    assert calls == []                    # the product builders trust them

@@ -1,14 +1,17 @@
 """Source hygiene of the package modules, read with ast alone."""
 
 import ast
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyprod"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "polyprod"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ERRORS = PACKAGE / "errors.py"
+READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,12 +52,29 @@ def test_unused_import_finder_sees_plain_and_from_imports():
     assert unused_imports(source) == ["system", "iter_product"]
 
 
+def name_counts(tree: ast.AST) -> Counter[str]:
+    """How often each Name node and attribute name occurs in a tree; an
+    import alone names nothing."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
 def names_read(source: str) -> set[str]:
-    """Every Name node and attribute name of a module; an import alone
-    names nothing."""
-    tree = ast.parse(source)
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    return set(name_counts(ast.parse(source)))
+
+
+def dead_definitions(modules: list[str], readers: list[str]) -> list[str]:
+    """Module-level functions and classes of the modules that no module or
+    reader names outside their own definition (a recursive call is not a
+    use)."""
+    trees = [ast.parse(source) for source in modules]
+    named = Counter()
+    for tree in trees + [ast.parse(source) for source in readers]:
+        named.update(name_counts(tree))
+    return [node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and named[node.name] == name_counts(node)[node.name]]
 
 
 @cache
@@ -81,3 +101,22 @@ def test_names_read_skips_bare_imports():
               "def f(x):\n"
               "    raise errors.Raised(x) if x else Live()\n")
     assert names_read(source) == {"errors", "Raised", "x", "Live"}
+
+
+def test_every_module_level_function_and_class_is_named_somewhere():
+    package = [p.read_text() for p in MODULES]
+    others = [p.read_text() for p in READERS if p.parent != PACKAGE]
+    assert dead_definitions(package, others) == []
+
+
+def test_dead_definition_finder_counts_only_uses_outside_the_definition():
+    module = ("class Used: pass\n"
+              "class Dead: pass\n"
+              "def recursive(n):\n"
+              "    return recursive(n - 1) if n else Used()\n"
+              "def by_attribute(): pass\n"
+              "def by_import(): pass\n")
+    reader = ("import mod\n"
+              "from mod import by_import\n"
+              "mod.by_attribute()\n")
+    assert dead_definitions([module], [reader]) == ["Dead", "recursive", "by_import"]
