@@ -206,11 +206,37 @@ def test_arity_is_enforced():
         moment_angle_chain(square(), [ds(1)] * 3)
 
 
-def test_a_malformed_pair_model_is_refused():
+def test_a_pair_model_with_a_repeated_target_is_refused_when_built():
     # one target listed twice: read into a column, the second entry would
     # overwrite the first, so the disk would pass as (D2,S1)
     with pytest.raises(InputError, match="repeats a boundary target"):
         replace(ds(1), boundaries=((), (), ((1, 1), (1, 1))))
+
+
+# the malformed models are built inside pytest.raises, since building one
+# raises; the plane would pass as RP2 read the same way
+def _repeated_target_disk():
+    return replace(ds(1), boundaries=((), (), ((1, 1), (1, 1))))
+
+
+def _repeated_target_rp2():
+    return replace(rp2_space(), boundaries=((), (), ((1, 2), (1, 2))))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda pairs: moment_angle_chain(square(), pairs()),
+    lambda pairs: smash_moment_angle_chain(square(), pairs()),
+    # at the bare call, before any block is asked for
+    lambda pairs: moment_angle_blocks(square(), pairs()),
+    lambda pairs: stable_splitting(square(), pairs()),
+    lambda pairs: wedge_lemma_decomposition(square(), pairs()),
+    lambda pairs: contractible_X_summary(
+        square(), [rp2_space(), rp2_space(), _repeated_target_rp2(), rp2_space()]),
+], ids=["moment_angle_chain", "smash_moment_angle_chain", "moment_angle_blocks",
+        "stable_splitting", "wedge_lemma_decomposition", "contractible_X_summary"])
+def test_a_malformed_pair_model_is_refused(entry):
+    with pytest.raises(InputError, match="repeats a boundary target"):
+        entry(lambda: [ds(1), ds(1), _repeated_target_disk(), ds(1)])
 
 
 def test_chain_model_is_deterministic():
