@@ -303,15 +303,6 @@ def skeleton(m: int, q: int) -> SimplicialComplex:
     return SimplicialComplex(m, frozenset(faces))
 
 
-def join_complex(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
-    """Simplicial join: faces are unions sigma | tau on m1 + m2 vertices."""
-    faces = set()
-    for a in k1.faces:
-        for b in k2.faces:
-            faces.add(a | (b << k1.m))
-    return SimplicialComplex(k1.m + k2.m, frozenset(faces))
-
-
 def validate(k: SimplicialComplex, strict: bool = False) -> list[Diagnostic]:
     """Check the empty face, closure and mask ranges; strict adds ghosts."""
     out = []

@@ -9,13 +9,16 @@ complexes from the homology of its factors.
 Elimination has one sparse phase and one dense kernel, _diagonalize.  The
 sparse phase pivots on units and on every entry that divides its whole row
 and column (a Smith pivot), in order of size and then of Markowitz fill.
-Homology and the plain Smith form run the kernel on what is left, a
-remainder in which no entry divides its row and column; the witnessed Smith
-form runs it on the augmented matrix [A | I ; I | 0] and reads U and V off
-the identity blocks.  The kernel returns the Smith form itself, a
-diagonal d1 | d2 | ....  Homology eliminates the boundaries from the top
-degree down, and each one leaves out the columns that the sparse phase one
-degree up has already paired (clearing; see homology).
+Its heap holds at most one unit candidate per column, re-scored when it
+has gone stale, and a pivot row holding only the pivot is eliminated by
+deleting entries, with no arithmetic.  Homology and the plain Smith form
+run the kernel on what is left, a remainder in which no entry divides its
+row and column; the witnessed Smith form runs it on the augmented matrix
+[A | I ; I | 0] and reads U and V off the identity blocks.  The kernel
+returns the Smith form itself, a diagonal d1 | d2 | ....  Homology
+eliminates the boundaries from the top degree down, and each one leaves out
+the columns that the sparse phase one degree up has already paired
+(clearing; see homology).
 
 A chain complex is only its dims and boundaries: a basis cell has no name
 beyond its degree and its index in that degree.
@@ -164,31 +167,56 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]],
 
     Values come back unsorted and without divisibility structure; feed them
     to invariant_factors for the canonical chain.  The sparse phase pops
-    pivots from one heap in (|p|, Markowitz fill) order.  Units go in at
-    the start and as they appear; each time the heap runs dry it is
-    refilled with every entry p with |p| equal to the gcd of its row and of
-    its column, and the phase ends when none is left.  Such a p divides its
-    row and its column, so the matrix is equivalent to (p) + A' and p is
-    one diagonal order.
+    pivots from one heap in (|p|, Markowitz fill) order.  The heap holds at
+    most one unit candidate per column: to start, the column's unit in its
+    shortest row, and later a +-1 made by fill in a column with no
+    candidate queued.  A popped candidate is dropped if its column is gone,
+    and pivoted on if its entry is still a unit, however stale its fill
+    score (scores only order the pivots).  If its entry has changed or its
+    row is gone, the column is re-scored, and its best unit, if it still
+    has one, goes back in.  Keeping one candidate loses no unit: a
+    column's units are all looked at again whenever its candidate is
+    popped, and a column without a candidate gets one as soon as fill makes
+    a unit in it, so the heap is not empty while a unit is left.  Each
+    time it runs dry it is refilled with every entry p with |p| equal to
+    the gcd of its row and of its column, and the phase ends when none is
+    left.  Such a p divides its row and its column, so the matrix is
+    equivalent to (p) + A' and p is one diagonal order.  A unit is the gcd
+    of its row and its column, so the refill would catch any unit the
+    queue missed: the queue decides the order of the pivots, not when the
+    phase ends.
     A queued candidate q whose value has not changed still qualifies when
     it is popped: each pivot p subtracts (a/p) * (pivot row) from every
     row with an entry a in the pivot column.  In q's row q divides a, and
     in q's column q divides the pivot row's entry, so every change to q's
-    row or column is a multiple of q.  Only a remainder in which no entry
-    qualifies is finished densely, by _diagonalize.
+    row or column is a multiple of q.  When the pivot row is the pivot
+    alone, each of those row operations only deletes the row's entry in
+    the pivot column, so the entries are deleted and no arithmetic is
+    done.  Only a remainder in which no entry qualifies is finished
+    densely, by _diagonalize.
     """
+    col_data: dict[int, dict[int, int]] = {
+        j: dict(col) for j, col in enumerate(cols) if col and j not in cleared}
     row_data: dict[int, dict[int, int]] = {}
-    col_data: dict[int, dict[int, int]] = {}
-    for j, col in enumerate(cols):
-        if j in cleared:
-            continue
+    for j, col in col_data.items():
         for i, val in col.items():
             row_data.setdefault(i, {})[j] = val
-            col_data.setdefault(j, {})[i] = val
-    # (|p|, Markowitz fill, row, col); units go in as they appear
-    queue = [(1, (len(row) - 1) * (len(col_data[j]) - 1), i, j)
-             for i, row in row_data.items()
-             for j, val in row.items() if val == 1 or val == -1]
+
+    def unit_candidate(j: int) -> tuple[int, int, int, int] | None:
+        # (|p|, Markowitz fill, row, col) of column j's unit in its shortest row
+        col = col_data[j]
+        best = None
+        for i, val in col.items():
+            if val == 1 or val == -1:
+                r = len(row_data[i])
+                if best is None or r < best[0]:
+                    best = (r, i)
+        if best is None:
+            return None
+        return (1, (best[0] - 1) * (len(col) - 1), best[1], j)
+
+    queue = [key for key in map(unit_candidate, col_data) if key is not None]
+    queued = {key[3] for key in queue}     # columns with a unit candidate
     heapq.heapify(queue)
     orders: list[int] = []
     pivot_rows: set[int] = set()
@@ -206,41 +234,57 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]],
                 break
             heapq.heapify(queue)
         p, _, pi, pj = heapq.heappop(queue)
-        prow = row_data.get(pi)
-        if prow is None:
+        if p == 1:
+            queued.discard(pj)
+        pcol = col_data.get(pj)
+        if pcol is None:
             continue
-        pval = prow.get(pj, 0)
+        pval = pcol.get(pi, 0)
         if pval != p and pval != -p:
+            if p == 1:
+                key = unit_candidate(pj)
+                if key is not None:
+                    heapq.heappush(queue, key)
+                    queued.add(pj)
             continue
-        pcol = col_data[pj]
-        # clear column pj with row operations (pval divides, so exact)
-        pivot_items = list(prow.items())
-        for i2 in list(pcol.keys()):
-            if i2 == pi:
-                continue
-            factor = pcol[i2] // pval
-            target = row_data[i2]
-            for j2, val in pivot_items:
-                new = target.get(j2, 0) - factor * val
-                if new:
-                    target[j2] = new
-                    col_data[j2][i2] = new
-                    if new == 1 or new == -1:
-                        heapq.heappush(queue, (
-                            1, (len(target) - 1) * (len(col_data[j2]) - 1), i2, j2))
-                elif j2 in target:
-                    del target[j2]
-                    del col_data[j2][i2]
-            if not target:
-                del row_data[i2]
-        # pivot row entries in other columns vanish under column operations
-        # that touch nothing else (column pj now holds only the pivot)
-        for j2 in list(prow.keys()):
-            cd = col_data[j2]
-            del cd[pi]
-            if not cd:
-                del col_data[j2]
-        del row_data[pi]
+        prow = row_data.pop(pi)
+        del pcol[pi]
+        if len(prow) == 1:
+            # the pivot alone: each row operation deletes one entry
+            for i2 in pcol:
+                target = row_data[i2]
+                del target[pj]
+                if not target:
+                    del row_data[i2]
+        else:
+            # clear column pj with row operations (pval divides, so exact)
+            pivot_items = list(prow.items())
+            for i2 in list(pcol):
+                factor = pcol[i2] // pval
+                target = row_data[i2]
+                for j2, val in pivot_items:
+                    new = target.get(j2, 0) - factor * val
+                    if new:
+                        target[j2] = new
+                        col_data[j2][i2] = new
+                        if (new == 1 or new == -1) and j2 not in queued:
+                            queued.add(j2)
+                            heapq.heappush(queue, (
+                                1, (len(target) - 1) * (len(col_data[j2]) - 1), i2, j2))
+                    elif j2 in target:
+                        del target[j2]
+                        del col_data[j2][i2]
+                if not target:
+                    del row_data[i2]
+            # pivot row entries in other columns vanish under column
+            # operations that touch nothing else (column pj is now empty)
+            for j2 in prow:
+                if j2 != pj:
+                    cd = col_data[j2]
+                    del cd[pi]
+                    if not cd:
+                        del col_data[j2]
+        del col_data[pj]
         orders.append(p)
         pivot_rows.add(pi)
     if row_data:
@@ -356,9 +400,6 @@ class ChainComplex:
 
     def total_cells(self) -> int:
         return sum(self.dims.values())
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * n for d, n in self.dims.items())
 
 
 def make_chain_complex(dims: Mapping[int, int],
@@ -484,9 +525,6 @@ class HomologySummary:
             hi = max((d for d, _, _ in self.groups), default=lo)
         return tuple(self.betti(d) for d in range(lo, hi + 1))
 
-    def total_rank(self) -> int:
-        return sum(b for _, b, _ in self.groups)
-
     def to_entries(self) -> list[dict]:
         return [{"degree": d, "betti": b, "torsion": list(chain)}
                 for d, b, chain in self.groups]
@@ -504,10 +542,6 @@ class HomologySummary:
             terms.extend(f"Z/{n}" for n in chain)
             parts.append(f"H_{d} = " + " + ".join(terms))
         return ", ".join(parts)
-
-
-def trivial_summary() -> HomologySummary:
-    return HomologySummary(())
 
 
 def direct_sum(summaries: Iterable[HomologySummary]) -> HomologySummary:

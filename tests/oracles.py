@@ -3,11 +3,11 @@
 Porter's skeleton wedges by a walk over every subset, and the rejected
 bookkeeping the tests pin down; homology dimensions over F_p from a rank
 mod p that never leaves the field; the order complex of the faces above a
-face, which the link replaces in the wedge lemma; the complex enumeration
-that canonicalizes every labeled family; the face-series sums taken
-one RationalSeries addition at a time; the elimination of every boundary
-in full, without clearing; and the product model built cell tuple by cell
-tuple.
+face, which the link replaces in the wedge lemma; the simplicial join and
+the zero graded group; the complex enumeration that canonicalizes every
+labeled family; the face-series sums taken one RationalSeries addition at
+a time; the elimination of every boundary in full, without clearing; and
+the product model built cell tuple by cell tuple.
 """
 
 from itertools import permutations, product
@@ -144,6 +144,21 @@ def order_complex_below(k: SimplicialComplex,
         for j in succ[i]:
             stack.append((j, chain | 1 << j))
     return SimplicialComplex.from_faces(n, chains)
+
+
+# -- joins and the zero group -------------------------------------------------
+
+def join_complex(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
+    """Simplicial join: faces are unions sigma | tau on m1 + m2 vertices."""
+    faces = set()
+    for a in k1.faces:
+        for b in k2.faces:
+            faces.add(a | (b << k1.m))
+    return SimplicialComplex(k1.m + k2.m, frozenset(faces))
+
+
+def trivial_summary() -> HomologySummary:
+    return HomologySummary(())
 
 
 # -- exhaustive enumeration ---------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from polyprod.complexes import (
     SimplicialComplex,
     face_sort_key,
-    join_complex,
     mask_from_vertices,
     skeleton,
     submasks,
@@ -34,7 +33,7 @@ from polyprod.errors import (
 )
 from polyprod.homology import reduced_simplicial_homology
 
-from oracles import all_complexes_per_family, order_complex_below
+from oracles import all_complexes_per_family, join_complex, order_complex_below
 
 
 def test_mask_roundtrip():
