@@ -9,7 +9,7 @@ complexes from the homology of its factors.
 Elimination has one sparse phase and one dense kernel, _diagonalize.  The
 sparse phase pivots on units and on every entry that divides its whole row
 and column (a Smith pivot), in order of size and then of Markowitz fill.
-Its heap holds at most one unit candidate per column, re-scored when it
+Its heap is seeded with one unit candidate per column, re-scored when it
 has gone stale, and a pivot row holding only the pivot is eliminated by
 deleting entries, with no arithmetic.  Homology and the plain Smith form
 run the kernel on what is left, a remainder in which no entry divides its
@@ -167,24 +167,23 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]],
 
     Values come back unsorted and without divisibility structure; feed them
     to invariant_factors for the canonical chain.  The sparse phase pops
-    pivots from one heap in (|p|, Markowitz fill) order.  The heap holds at
-    most one unit candidate per column: to start, the column's unit in its
-    shortest row, and later a +-1 made by fill in a column with no
-    candidate queued.  A popped candidate is dropped if its column is gone,
-    and pivoted on if its entry is still a unit, however stale its fill
-    score (scores only order the pivots).  If its entry has changed or its
-    row is gone, the column is re-scored, and its best unit, if it still
-    has one, goes back in.  Keeping one candidate loses no unit: a
-    column's units are all looked at again whenever its candidate is
-    popped, and a column without a candidate gets one as soon as fill makes
-    a unit in it, so the heap is not empty while a unit is left.  Each
-    time it runs dry it is refilled with every entry p with |p| equal to
-    the gcd of its row and of its column, and the phase ends when none is
-    left.  Such a p divides its row and its column, so the matrix is
-    equivalent to (p) + A' and p is one diagonal order.  A unit is the gcd
-    of its row and its column, so the refill would catch any unit the
-    queue missed: the queue decides the order of the pivots, not when the
-    phase ends.
+    pivots from one heap in (|p|, Markowitz fill) order.  The heap is
+    seeded with one unit candidate per column, its unit in its shortest
+    row, and every +-1 made by fill goes in as it appears.  A popped
+    candidate is dropped if its column is gone, and pivoted on if its
+    entry is still a unit, however stale its fill score (scores only order
+    the pivots).  If its entry has changed or its row is gone, the column
+    is re-scored, and its best unit, if it still has one, goes back in.
+    Seeding one candidate loses no unit: a column's units are all looked
+    at again whenever a stale candidate of it is popped, and a unit made
+    later is queued when it is made, so the heap is not empty while a unit
+    is left.  Each time it runs dry it is refilled with every entry p with
+    |p| equal to the gcd of its row and of its column, and the phase ends
+    when none is left.  Such a p divides its row and its column, so the
+    matrix is equivalent to (p) + A' and p is one diagonal order.  A unit
+    is the gcd of its row and its column, so the refill would catch any
+    unit the queue missed: the queue decides the order of the pivots, not
+    when the phase ends.
     A queued candidate q whose value has not changed still qualifies when
     it is popped: each pivot p subtracts (a/p) * (pivot row) from every
     row with an entry a in the pivot column.  In q's row q divides a, and
@@ -216,7 +215,6 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]],
         return (1, (best[0] - 1) * (len(col) - 1), best[1], j)
 
     queue = [key for key in map(unit_candidate, col_data) if key is not None]
-    queued = {key[3] for key in queue}     # columns with a unit candidate
     heapq.heapify(queue)
     orders: list[int] = []
     pivot_rows: set[int] = set()
@@ -234,8 +232,6 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]],
                 break
             heapq.heapify(queue)
         p, _, pi, pj = heapq.heappop(queue)
-        if p == 1:
-            queued.discard(pj)
         pcol = col_data.get(pj)
         if pcol is None:
             continue
@@ -245,45 +241,37 @@ def _elimination_orders(cols: Sequence[Mapping[int, int]],
                 key = unit_candidate(pj)
                 if key is not None:
                     heapq.heappush(queue, key)
-                    queued.add(pj)
             continue
         prow = row_data.pop(pi)
+        del prow[pj]
         del pcol[pi]
-        if len(prow) == 1:
-            # the pivot alone: each row operation deletes one entry
-            for i2 in pcol:
-                target = row_data[i2]
-                del target[pj]
-                if not target:
-                    del row_data[i2]
-        else:
-            # clear column pj with row operations (pval divides, so exact)
-            pivot_items = list(prow.items())
-            for i2 in list(pcol):
-                factor = pcol[i2] // pval
-                target = row_data[i2]
-                for j2, val in pivot_items:
-                    new = target.get(j2, 0) - factor * val
-                    if new:
-                        target[j2] = new
-                        col_data[j2][i2] = new
-                        if (new == 1 or new == -1) and j2 not in queued:
-                            queued.add(j2)
-                            heapq.heappush(queue, (
-                                1, (len(target) - 1) * (len(col_data[j2]) - 1), i2, j2))
-                    elif j2 in target:
-                        del target[j2]
-                        del col_data[j2][i2]
-                if not target:
-                    del row_data[i2]
-            # pivot row entries in other columns vanish under column
-            # operations that touch nothing else (column pj is now empty)
-            for j2 in prow:
-                if j2 != pj:
-                    cd = col_data[j2]
-                    del cd[pi]
-                    if not cd:
-                        del col_data[j2]
+        # clear column pj with row operations (pval divides, so exact); each
+        # row's entry in column pj is deleted outright, so a pivot row that
+        # is the pivot alone costs no arithmetic
+        for i2, a in pcol.items():
+            target = row_data[i2]
+            del target[pj]
+            factor = a // pval
+            for j2, val in prow.items():
+                new = target.get(j2, 0) - factor * val
+                if new:
+                    target[j2] = new
+                    col_data[j2][i2] = new
+                    if new == 1 or new == -1:
+                        heapq.heappush(queue, (
+                            1, (len(target) - 1) * (len(col_data[j2]) - 1), i2, j2))
+                elif j2 in target:
+                    del target[j2]
+                    del col_data[j2][i2]
+            if not target:
+                del row_data[i2]
+        # pivot row entries in other columns vanish under column operations
+        # that touch nothing else (column pj is now empty)
+        for j2 in prow:
+            cd = col_data[j2]
+            del cd[pi]
+            if not cd:
+                del col_data[j2]
         del col_data[pj]
         orders.append(p)
         pivot_rows.add(pi)

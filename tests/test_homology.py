@@ -4,7 +4,6 @@ independent oracles, classical spaces, Kunneth/product/join consistency."""
 import heapq
 import random
 import types
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -344,30 +343,20 @@ def test_smith_pivots_finish_without_the_dense_kernel(monkeypatch):
     assert calls == [(1, 2)]
 
 
-class _CheckedHeapq:
+class _CountingHeapq:
     """heapq for _elimination_orders that counts pops and heapify calls
-    (one for the seed, one per refill), asserts that the heap never holds
-    two unit candidates (|p| = 1) for one column, and records the columns
-    whose popped unit candidate went straight back in (a stale candidate
+    (one for the seed, one per refill), and records the columns whose
+    popped unit candidate went straight back in (a stale candidate
     re-scored)."""
 
     def __init__(self):
         self.pops = 0
         self.heapifies = 0
         self.requeued = []
-        self._units = Counter()
         self._last_pop = None
-
-    def _count(self, item):
-        if item[0] == 1:
-            self._units[item[3]] += 1
-            assert self._units[item[3]] == 1, f"two unit candidates in column {item[3]}"
 
     def heapify(self, heap):
         self.heapifies += 1
-        self._units = Counter()
-        for item in heap:
-            self._count(item)
         self._last_pop = None
         heapq.heapify(heap)
 
@@ -375,14 +364,11 @@ class _CheckedHeapq:
         last, self._last_pop = self._last_pop, None
         if last is not None and last[0] == item[0] == 1 and last[3] == item[3]:
             self.requeued.append(item[3])
-        self._count(item)
         heapq.heappush(heap, item)
 
     def heappop(self, heap):
         item = heapq.heappop(heap)
         self.pops += 1
-        if item[0] == 1:
-            self._units[item[3]] -= 1
         self._last_pop = item
         return item
 
@@ -395,16 +381,16 @@ def test_unit_queue_cases_finish_without_the_dense_kernel(monkeypatch):
     assert smith_normal_form([[1, 0], [2, 3]]).diagonal == (1, 3)
     # column 1 has no unit until pivoting on (0, 0) leaves 1 at (1, 1);
     # fill queues it, so the heap is never refilled
-    shim = _CheckedHeapq()
+    shim = _CountingHeapq()
     monkeypatch.setattr(homology_module, "heapq", shim)
     assert smith_normal_form([[1, 2], [1, 3]]).diagonal == (1, 1)
     assert shim.heapifies == 1
-    # column 1's candidate is in row 0, which the first pivot removes;
+    # column 2's candidate is in row 0, which the first pivot removes;
     # re-scoring the column queues its other unit, in row 1
-    shim = _CheckedHeapq()
+    shim = _CountingHeapq()
     monkeypatch.setattr(homology_module, "heapq", shim)
-    assert smith_normal_form([[1, 1], [2, 1]]).diagonal == (1, 1)
-    assert shim.requeued == [1]
+    assert smith_normal_form([[1, 0, 1], [0, 2, 1]]).diagonal == (1, 1)
+    assert shim.requeued == [2]
     assert calls == []
 
 
@@ -414,7 +400,7 @@ def _fill_matrices(draw):
     rows and columns scaled by 2 or 3.  At this size a pivot often leaves a
     column's queued unit stale while the column keeps other units (about
     half of the draws re-score one), and the scaled lines leave Smith
-    pivots and a dense remainder (about 60 % reach _diagonalize)."""
+    pivots and a dense remainder (about half reach _diagonalize)."""
     rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     entry = st.sampled_from(draw(st.sampled_from(((0, 0, 0, 1, -1), (0, 1, -1)))))
     row_scale = draw(st.lists(st.sampled_from((1, 1, 1, 2, 3)),
@@ -436,7 +422,7 @@ def test_smith_normal_form_matches_sympy_when_pivots_make_units(a):
     assert snf.rank == len(factors)
 
 
-def test_the_unit_queue_holds_one_candidate_per_column(monkeypatch):
+def test_the_unit_queue_pops_few_entries_per_pivot(monkeypatch):
     # torsion model 0 of the benchmark: (C RP2, RP2) over the complete graph
     # on 6 vertices plus 10 triangles drawn from Random("7114689:torsion:6:0")
     triangles = random.Random("7114689:torsion:6:0").sample(
@@ -445,7 +431,7 @@ def test_the_unit_queue_holds_one_candidate_per_column(monkeypatch):
         6, list(combinations(range(1, 7), 2)) + triangles)
     assert k.f_vector() == (6, 15, 10)
     c = moment_angle_chain(k, [rp2_pair()] * 6)
-    shim = _CheckedHeapq()
+    shim = _CountingHeapq()
     monkeypatch.setattr(homology_module, "heapq", shim)
     pivots = []
     eliminate = homology_module._elimination_orders
@@ -457,7 +443,7 @@ def test_the_unit_queue_holds_one_candidate_per_column(monkeypatch):
 
     monkeypatch.setattr(homology_module, "_elimination_orders", counted)
     homology(c)
-    # 26,841 pops for 21,640 pivots; seeding every unit took 72,882 pops
+    # 28,061 pops for 21,640 pivots; seeding every unit took 72,882 pops
     assert shim.pops < 1.5 * sum(pivots)
 
 
