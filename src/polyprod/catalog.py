@@ -194,9 +194,6 @@ def random_shifted_complex(rng: Random, m: int) -> SimplicialComplex:
                 if not mask >> v & 1:
                     continue
                 smaller = mask & ~(1 << v)
-                if smaller not in faces:
-                    faces.add(smaller)
-                    changed = True
                 for u in range(v):
                     if mask >> u & 1:
                         continue

@@ -287,20 +287,9 @@ class ShiftedVerdict:
 
 def skeleton(m: int, q: int) -> SimplicialComplex:
     """q-skeleton of the full simplex on m vertices; q = m-1 is the simplex."""
-    if m < 1:
-        raise InputError("skeleton needs m >= 1")
-    if m > MAX_ENUMERATION_VERTICES:
-        raise InputError(f"m = {m} exceeds enumeration cap {MAX_ENUMERATION_VERTICES}")
     if q < -1 or q > m - 1:
         raise InputError(f"skeleton degree {q} outside -1..{m - 1}")
-    faces = {0}
-    for k in range(1, q + 2):
-        for combo in combinations(range(m), k):
-            mask = 0
-            for b in combo:
-                mask |= 1 << b
-            faces.add(mask)
-    return SimplicialComplex(m, frozenset(faces))
+    return SimplicialComplex.from_maximal_faces(m, combinations(range(1, m + 1), q + 1))
 
 
 def validate(k: SimplicialComplex, strict: bool = False) -> list[Diagnostic]:

@@ -34,6 +34,20 @@ def _no_duplicate_keys(pairs):
     return out
 
 
+def _load_json_object(text: str, source: str, keys: set[str]) -> dict:
+    """Parse text as one JSON object whose keys are distinct and all in keys."""
+    try:
+        data = json.loads(text, object_pairs_hook=_no_duplicate_keys)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{source}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{source}: expected a JSON object")
+    unknown = set(data) - keys
+    if unknown:
+        raise InputError(f"{source}: unknown keys {sorted(unknown)}")
+    return data
+
+
 def _is_int(value) -> bool:
     """A JSON integer; true and false load as bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -57,8 +71,8 @@ def _read(path, what: str, parse_json, parse_text):
     """Read a file and parse it as JSON if it starts with '{', else as text."""
     source = str(path)
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file {source}: {exc}") from None
     parse = parse_json if text.lstrip().startswith("{") else parse_text
     return parse(text, source)
@@ -96,15 +110,7 @@ def parse_complex_text(text: str, source: str = "<string>") -> SimplicialComplex
 
 
 def parse_complex_json(text: str, source: str = "<string>") -> SimplicialComplex:
-    try:
-        data = json.loads(text, object_pairs_hook=_no_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{source}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InputError(f"{source}: expected a JSON object")
-    unknown = set(data) - {"m", "maximal_faces"}
-    if unknown:
-        raise InputError(f"{source}: unknown keys {sorted(unknown)}")
+    data = _load_json_object(text, source, {"m", "maximal_faces"})
     m = data.get("m")
     raw_faces = data.get("maximal_faces")
     if not _is_int(m) or m < 1:
@@ -137,15 +143,7 @@ def parse_characteristic_text(text: str, source: str = "<string>") -> Characteri
 
 
 def parse_characteristic_json(text: str, source: str = "<string>") -> CharacteristicMatrix:
-    try:
-        data = json.loads(text, object_pairs_hook=_no_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{source}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InputError(f"{source}: expected a JSON object")
-    unknown = set(data) - {"n", "rows"}
-    if unknown:
-        raise InputError(f"{source}: unknown keys {sorted(unknown)}")
+    data = _load_json_object(text, source, {"n", "rows"})
     n = data.get("n")
     rows = data.get("rows")
     if not _is_int(n) or n < 1:

@@ -374,9 +374,6 @@ class ChainComplex:
     dims: dict[int, int]
     boundaries: dict[int, tuple[dict[int, int], ...]]
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.dims))
-
     def dim(self, d: int) -> int:
         return self.dims.get(d, 0)
 
@@ -543,24 +540,15 @@ def direct_sum(summaries: Iterable[HomologySummary]) -> HomologySummary:
 
 def kunneth_product(a: HomologySummary, b: HomologySummary) -> HomologySummary:
     """H(C @ D) of free complexes C, D from H(C), H(D) by the Kunneth formula:
-    free parts and Z/gcd tensor terms at i+j, Tor terms at i+j+1."""
-    acc: dict[int, tuple[int, list[int]]] = {}
+    the direct sum, over pairs of groups H_i(C), H_j(D), of their tensor
+    product at degree i+j and their Tor at i+j+1."""
+    def term(d1, b1, t1, d2, b2, t2) -> HomologySummary:
+        tor = [gcd(x, y) for x in t1 for y in t2]
+        tensor = [x for x in t1 for _ in range(b2)] + [y for y in t2 for _ in range(b1)]
+        return HomologySummary.from_map({d1 + d2: (b1 * b2, tensor + tor),
+                                         d1 + d2 + 1: (0, tor)})
 
-    def add(deg: int, betti: int, orders: Iterable[int]):
-        cur_b, cur_t = acc.get(deg, (0, []))
-        acc[deg] = (cur_b + betti, cur_t + list(orders))
-
-    for d1, b1, t1 in a.groups:
-        for d2, b2, t2 in b.groups:
-            tensor_tor = ([x] * b2 for x in t1)
-            orders = [x for sub in tensor_tor for x in sub]
-            orders += [y for y in t2 for _ in range(b1)]
-            orders += [gcd(x, y) for x in t1 for y in t2]
-            add(d1 + d2, b1 * b2, orders)
-            tor = [gcd(x, y) for x in t1 for y in t2]
-            if tor:
-                add(d1 + d2 + 1, 0, tor)
-    return HomologySummary.from_map(acc)
+    return direct_sum(term(*g, *h) for g in a.groups for h in b.groups)
 
 
 def _boundary_orders(c: ChainComplex) -> dict[int, list[int]]:
@@ -656,23 +644,15 @@ def reduced_simplicial_homology(k: SimplicialComplex) -> HomologySummary:
 # -- constructions ------------------------------------------------------------
 
 def quotient_complex(c: ChainComplex,
-                     keep: Mapping[int, Iterable[int]] | Callable[[int, int], bool]) -> ChainComplex:
-    """Project onto a subset of basis cells whose complement spans a subcomplex.
+                     keep: Callable[[int, int], bool]) -> ChainComplex:
+    """Project onto the basis cells for which keep(degree, index) holds.
 
-    keep is either a degree -> kept-indices mapping or a predicate
-    keep(degree, index).  Raises NotASubcomplex when a discarded cell's
-    boundary touches a kept cell.
+    The discarded cells must span a subcomplex: raises NotASubcomplex when
+    a discarded cell's boundary touches a kept cell.
     """
     kept: dict[int, list[int]] = {}
     for deg, n in c.dims.items():
-        if callable(keep):
-            sel = [i for i in range(n) if keep(deg, i)]
-        else:
-            chosen = set(keep.get(deg, ()))
-            bad = [i for i in chosen if not 0 <= i < n]
-            if bad:
-                raise DimensionMismatch(f"kept index {bad[0]} outside degree {deg}")
-            sel = sorted(chosen)
+        sel = [i for i in range(n) if keep(deg, i)]
         if sel:
             kept[deg] = sel
     kept_sets = {deg: set(sel) for deg, sel in kept.items()}

@@ -153,10 +153,7 @@ class RationalSeries:
     def __pow__(self, k: int) -> "RationalSeries":
         if k < 0:
             raise SeriesError("negative powers are not supported")
-        out = RationalSeries.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        return RationalSeries.make(poly_pow(self.num, k), poly_pow(self.den, k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSeries):
@@ -193,23 +190,19 @@ class RationalSeries:
         return quot
 
     def expansion(self, order: int) -> tuple[int, ...]:
-        """Coefficients through degree `order` (inclusive), exact integers."""
+        """Coefficients through degree `order` (inclusive), exact integers:
+        the quotient of num by den, both cut after degree `order`."""
         if order < 0:
             raise SeriesError("expansion order must be >= 0")
         if not self.num:
             return (0,) * (order + 1)
         if abs(self.den[0]) != 1:
             raise SeriesError("expansion requires a unit constant term")
-        out = []
-        rem = list(self.num[:order + 1]) + [0] * max(0, order + 1 - len(self.num))
-        den = self.den
-        for i in range(order + 1):
-            c = rem[i] * den[0]
-            out.append(c)
-            if c:
-                for j in range(1, min(len(den), order + 1 - i)):
-                    rem[i + j] -= c * den[j]
-        return tuple(out)
+        den = poly_trim(self.den[:order + 1])
+        dividend = list(self.num[:order + 1])
+        dividend += [0] * (order + len(den) - len(dividend))
+        quot, _ = poly_divmod_exact(dividend, den)
+        return quot + (0,) * (order + 1 - len(quot))
 
     def coefficient(self, degree: int) -> int:
         return self.expansion(degree)[degree]

@@ -28,9 +28,6 @@ class IdealPresentation:
     generator_degrees: tuple[int, ...]
     relations: tuple[tuple[int, ...], ...]
 
-    def m(self) -> int:
-        return len(self.generator_degrees)
-
     def relation_strings(self) -> tuple[str, ...]:
         return tuple("*".join(f"x{v}" for v in rel) for rel in self.relations)
 

@@ -88,6 +88,11 @@ def test_json_parser_rejects_malformed_payloads():
         parse_complex_json('{"m": 2, "maximal_faces": [[1]], "extra": 1}')
     with pytest.raises(InputError):
         parse_complex_json('{"m": 2, "maximal_faces": [[1], [1]]}')
+    # a file is parsed as JSON only when it starts with '{', so no file
+    # reaches these two
+    for parse in (parse_complex_json, parse_characteristic_json):
+        with pytest.raises(InputError, match="expected a JSON object"):
+            parse("[1]")
 
 
 def _complex_text(faces):
@@ -263,6 +268,62 @@ def test_m_directive_with_a_non_ascii_digit_is_an_input_error(capsys, tmp_path, 
     code, out, err = run(capsys, command[0], str(bad), *command[1:])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "m needs one positive integer" in err
+    assert "Traceback" not in err
+
+
+NESTED = "[" * 200_000
+
+
+# the file is bad.cx, or bad.lam for the toric matrix; bytes are not UTF-8
+@pytest.mark.parametrize("argv, name, content", [
+    (["validate", "{bad}"], "bad.cx", b"\xff\xfe"),
+    (["homology", "{square}", "--pair", "cone:{bad}:1"], "bad.cx", b"\xff\xfe"),
+    (["validate", "{bad}"], "bad.cx", '{"m": ' + NESTED),
+    (["toric", "{square}", "{bad}"], "bad.lam", '{"n": ' + NESTED),
+], ids=["not-utf8", "not-utf8-pair-spec", "nested-complex", "nested-matrix"])
+def test_an_unreadable_input_file_is_an_input_error(capsys, tmp_path, square_file,
+                                                    argv, name, content):
+    bad = tmp_path / name
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code, out, err = run(capsys, *(a.format(bad=bad, square=square_file) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+
+
+# {bad} is a file holding the given text
+@pytest.mark.parametrize("argv, text, message", [
+    (["validate", "{bad}"], '{"m": 2, "m": 2, "maximal_faces": [[1]]}',
+     "duplicate key 'm'"),
+    (["validate", "{bad}"], "m 2\nface 1 x\n", "face vertices must be integers"),
+    (["validate", "{bad}"], "m 2\nface\n", "face needs at least one vertex"),
+    (["validate", "{bad}"], "m 2\nfacet 1\n", "unknown directive 'facet'"),
+    (["validate", "{bad}"], "# no directives\n", "missing m directive"),
+    (["validate", "{bad}"], '{"m": 2,', "invalid JSON"),
+    (["toric", "{square}", "{bad}"], "1 0\n0 x\n", "matrix entries must be integers"),
+    (["toric", "{square}", "{bad}"], "# no rows\n", "empty matrix"),
+    (["toric", "{square}", "{bad}"], '{"n": 1, "rows": [[1]], "cols": 1}',
+     "unknown keys ['cols']"),
+    (["toric", "{square}", "{bad}"], '{"n": 2, "rows": [[1, 0], [1]]}',
+     "every row must have n = 2 entries"),
+    (["homology", "{square}", "--pair", "cone:{bad}:x"], "m 1\n",
+     "vertex must be an integer"),
+    (["homology", "{square}"], "", "at least one --pair specification is required"),
+    (["homology", "{square}", "--pair", "disk-sphere:1", "--pair", "disk-sphere:1"],
+     "", "2 pair specs for m = 4 vertices"),
+    (["porter", "3", "--q", "1", "--y-dims", "1,x"], "",
+     "--y-dims must be a comma-separated integer list"),
+], ids=["duplicate-key", "non-integer-vertex", "empty-face", "unknown-directive",
+        "missing-m", "invalid-json", "non-integer-matrix", "empty-matrix",
+        "unknown-matrix-key", "short-matrix-row", "non-integer-pair-vertex",
+        "no-pair", "pair-count", "bad-y-dims"])
+def test_a_refused_input_exits_one_with_its_message(capsys, tmp_path, square_file,
+                                                    argv, text, message):
+    bad = tmp_path / "bad"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(bad=bad, square=square_file) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
 
 

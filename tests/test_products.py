@@ -145,10 +145,10 @@ def _smash_by_quotient(k, pairs):
         for cell in product(*ranges):
             deg = sum(p.dims[c] for p, c in zip(pairs, cell))
             by_degree.setdefault(deg, []).append(cell)
-    keep = {d: [i for i, cell in enumerate(sorted(cells))
-                if all(c != p.basepoint for p, c in zip(pairs, cell))]
+    keep = {d: {i for i, cell in enumerate(sorted(cells))
+                if all(c != p.basepoint for p, c in zip(pairs, cell))}
             for d, cells in by_degree.items()}
-    return quotient_complex(moment_angle_chain(k, pairs), keep)
+    return quotient_complex(moment_angle_chain(k, pairs), lambda d, i: i in keep[d])
 
 
 def _assert_same_complex(a, b):

@@ -1,8 +1,10 @@
 """Integer polynomial helpers and exact rational power series."""
 
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyprod.errors import SeriesError
 from polyprod.series import (
@@ -93,6 +95,39 @@ def test_series_power_matches_repeated_product():
     assert s ** 3 == s * s * s
     assert s ** 0 == RationalSeries.one()
     assert (s ** 4).expansion(6) == (0, 0, 0, 0, 1, 4, 10)
+
+
+def test_make_divides_out_the_content_and_makes_the_constant_term_positive():
+    s = RationalSeries.make((2, 4), (2, -2))
+    assert (s.num, s.den) == ((1, 2), (1, -1))
+    s = RationalSeries.make((1,), (-1, 1))
+    assert (s.num, s.den) == ((-1,), (1, -1))
+
+
+def test_is_polynomial_of_zero_and_of_a_non_unit_denominator():
+    assert RationalSeries.zero().is_polynomial()
+    assert not RationalSeries.make((1,), (2, 1)).is_polynomial()
+
+
+_coeffs = st.lists(st.integers(-5, 5), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coeffs, st.sampled_from((1, -1)), _coeffs, st.integers(0, 30))
+def test_expansion_times_the_denominator_gives_the_numerator(num, d0, rest, order):
+    s = RationalSeries.make(num, (d0, *rest))
+    pad = (0,) * (order + 1)
+    product = poly_mul(s.expansion(order), s.den)
+    assert (product + pad)[:order + 1] == (s.num + pad)[:order + 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coeffs, st.sampled_from((1, -1, 2, -3)), _coeffs, st.integers(0, 5))
+def test_power_is_the_repeated_product(num, d0, rest, k):
+    s = RationalSeries.make(num, (d0, *rest))
+    product = reduce(lambda acc, _: acc * s, range(k), RationalSeries.one())
+    power = s ** k
+    assert (power.num, power.den) == (product.num, product.den)
 
 
 def test_series_str_is_readable():

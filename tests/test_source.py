@@ -120,3 +120,32 @@ def test_dead_definition_finder_counts_only_uses_outside_the_definition():
               "from mod import by_import\n"
               "mod.by_attribute()\n")
     assert dead_definitions([module], [reader]) == ["Dead", "recursive", "by_import"]
+
+
+FILE_CALLS = {"open", "read_text", "write_text"}
+
+
+def file_calls_without_encoding(source: str) -> list[int]:
+    """Lines of open, read_text and write_text calls with no encoding=
+    keyword; without one, text is decoded in the locale's encoding."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) in FILE_CALLS
+            and not any(kw.arg == "encoding" for kw in node.keywords)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_file_read_and_write_names_its_encoding(path):
+    assert file_calls_without_encoding(path.read_text(encoding="utf-8")) == []
+
+
+def test_encoding_finder_sees_calls_and_method_calls():
+    source = ("from pathlib import Path\n"
+              "open('a')\n"
+              "open('b', encoding='utf-8')\n"
+              "Path('c').read_text()\n"
+              "Path('d').write_text('x', encoding='utf-8')\n"
+              "with open('e', 'w') as f:\n"
+              "    f.write('x')\n")
+    assert file_calls_without_encoding(source) == [2, 4, 6]

@@ -1,7 +1,9 @@
 """Characteristic matrices, quotient Betti numbers, kernel lattices."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import polyprod.toric as toric_module
 from polyprod.catalog import (
     pentagon,
     polytopal_catalog,
@@ -19,6 +21,7 @@ from polyprod.errors import (
     NotPure,
     RankDeficient,
 )
+from polyprod.homology import smith_normal_form
 from polyprod.toric import (
     CharacteristicMatrix,
     ensure_characteristic,
@@ -134,6 +137,47 @@ def test_presentation_of_square_data():
     pres = toric_presentation(square(), square_characteristic())
     assert pres.ideal.relation_strings() == ("x1*x3", "x2*x4")
     assert pres.display_relations == ("x1 - x3", "x2 - x4")
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1], [0, 1], [-1, 0], [0, -1]],         # a row operation below a pivot
+    [[-1, 0], [0, 1], [1, 1], [0, -1]],         # a negative pivot
+])
+def test_presentation_reduces_columns_that_are_not_in_echelon_form(rows):
+    pres = toric_presentation(square(), CharacteristicMatrix.from_rows(rows))
+    assert pres.display_relations == ("x1 - x3", "x2 + x3 - x4")
+
+
+def _is_reduced_echelon(rows):
+    """Echelon form with positive pivots and each entry above a pivot in
+    [0, pivot); zero rows come last."""
+    last = -1
+    for i, row in enumerate(rows):
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            if any(any(r) for r in rows[i:]):
+                return False
+            continue
+        if lead <= last or row[lead] <= 0:
+            return False
+        if any(not 0 <= above[lead] < row[lead] for above in rows[:i]):
+            return False
+        last = lead
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(st.integers(-6, 6), min_size=width, max_size=width),
+    min_size=1, max_size=4)))
+def test_display_reduction_is_an_echelon_basis_of_the_same_lattice(rows):
+    reduced = toric_module._reduce_rows_for_display(rows)
+    assert _is_reduced_echelon(reduced)
+    # the stacked rows span both lattices, so equal Smith diagonals make
+    # each lattice the whole sum
+    stacked = smith_normal_form(rows + reduced).diagonal
+    assert smith_normal_form(rows).diagonal == stacked
+    assert smith_normal_form(reduced).diagonal == stacked
 
 
 def test_presentation_requires_admissible_matrix():
