@@ -1,29 +1,19 @@
-"""Ready-made complexes, characteristic matrices, pair families, and the
-exhaustive / randomized generators the test suite and CLI examples draw from."""
+"""Named complexes, the standard pair library and the exhaustive
+enumeration of small complexes, as the bench and README's example use them."""
 
 from __future__ import annotations
 
 from itertools import permutations
-from random import Random
 
 from .complexes import SimplicialComplex, skeleton
 from .errors import InputError
 from .pairs import PairModel, pair_disk_sphere, rp2_pair, sphere_pair
-from .toric import CharacteristicMatrix
 
 
 # -- named complexes -----------------------------------------------------------
 
-def simplex(m: int) -> SimplicialComplex:
-    return skeleton(m, m - 1)
-
-
 def simplex_boundary(m: int) -> SimplicialComplex:
     return skeleton(m, m - 2)
-
-
-def disjoint_points(m: int) -> SimplicialComplex:
-    return skeleton(m, 0)
 
 
 def cycle_complex(m: int) -> SimplicialComplex:
@@ -36,52 +26,6 @@ def cycle_complex(m: int) -> SimplicialComplex:
 
 def square() -> SimplicialComplex:
     return cycle_complex(4)
-
-
-def pentagon() -> SimplicialComplex:
-    return cycle_complex(5)
-
-
-def star_complex() -> SimplicialComplex:
-    """Two edges sharing vertex 1; shifted under the identity labeling."""
-    return SimplicialComplex.from_maximal_faces(3, [(1, 2), (1, 3)])
-
-
-def projective_plane() -> SimplicialComplex:
-    """Minimal 6-vertex triangulation of the real projective plane."""
-    return SimplicialComplex.from_maximal_faces(6, [
-        (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 4, 6),
-        (2, 3, 4), (2, 3, 6), (2, 4, 5), (3, 5, 6), (4, 5, 6),
-    ])
-
-
-def polytopal_catalog() -> tuple[tuple[str, SimplicialComplex], ...]:
-    """Boundary complexes of simple-polytope duals used by invariant tests."""
-    return (
-        ("triangle", simplex_boundary(3)),
-        ("tetrahedron-boundary", simplex_boundary(4)),
-        ("4-simplex-boundary", simplex_boundary(5)),
-        ("square", square()),
-        ("pentagon", pentagon()),
-    )
-
-
-# -- characteristic matrices -----------------------------------------------------
-
-def projective_characteristic(m: int) -> CharacteristicMatrix:
-    """Standard matrix over the boundary of the (m-1)-simplex: identity rows
-    followed by the all-minus-ones row; the quotient is CP^{m-1}."""
-    if m < 2:
-        raise InputError("projective data needs m >= 2")
-    n = m - 1
-    rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    rows.append([-1] * n)
-    return CharacteristicMatrix.from_rows(rows)
-
-
-def square_characteristic() -> CharacteristicMatrix:
-    """Standard matrix over the square (quotient is a Hirzebruch-type surface)."""
-    return CharacteristicMatrix.from_rows([[1, 0], [0, 1], [-1, 0], [0, -1]])
 
 
 # -- pair families ----------------------------------------------------------------
@@ -166,39 +110,3 @@ def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
         if mask >> b & 1:
             out |= 1 << target
     return out
-
-
-# -- randomized generators ----------------------------------------------------------
-
-def random_complex(rng: Random, m: int) -> SimplicialComplex:
-    """Downward closure of a few random faces; unused vertices are possible."""
-    if m < 1:
-        raise InputError("random_complex needs m >= 1")
-    count = rng.randrange(1, m + 2)
-    faces = []
-    for _ in range(count):
-        size = rng.randrange(1, m + 1)
-        faces.append(rng.sample(range(1, m + 1), size))
-    return SimplicialComplex.from_maximal_faces(m, faces)
-
-
-def random_shifted_complex(rng: Random, m: int) -> SimplicialComplex:
-    """Random complex closed under vertex-lowering moves, so it is shifted
-    under the identity labeling by construction."""
-    faces = set(random_complex(rng, m).faces)
-    changed = True
-    while changed:
-        changed = False
-        for mask in list(faces):
-            for v in range(m):
-                if not mask >> v & 1:
-                    continue
-                smaller = mask & ~(1 << v)
-                for u in range(v):
-                    if mask >> u & 1:
-                        continue
-                    moved = smaller | (1 << u)
-                    if moved not in faces:
-                        faces.add(moved)
-                        changed = True
-    return SimplicialComplex(m, frozenset(faces))

@@ -129,9 +129,6 @@ class SimplicialComplex:
 
     # basic queries -----------------------------------------------------
 
-    def has_face(self, vertices: Iterable[int]) -> bool:
-        return mask_from_vertices(vertices, self.m) in self.faces
-
     def dim(self) -> int:
         """Dimension: max face cardinality - 1; the {empty} complex has dim -1."""
         return max(mask.bit_count() for mask in self.faces) - 1
@@ -143,9 +140,6 @@ class SimplicialComplex:
     def maximal_faces(self) -> tuple[int, ...]:
         """The faces contained in no other face, sorted."""
         return _maximal_of(self.faces)
-
-    def face_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(vertices_from_mask(mask) for mask in self.faces_sorted())
 
     # f- and h-vectors --------------------------------------------------
 
@@ -188,13 +182,6 @@ class SimplicialComplex:
             labels[v - 1] = i
         return SimplicialComplex(len(sel), frozenset({
             _relabel_mask(mask, labels) for mask in self.faces if mask | sel_mask == sel_mask}))
-
-    def skeleton(self, q: int) -> "SimplicialComplex":
-        """Faces of cardinality <= q+1.  q = -1 gives the {empty} complex."""
-        if q < -1 or q > self.dim():
-            raise InputError(f"skeleton degree {q} outside -1..{self.dim()}")
-        return SimplicialComplex(self.m, frozenset({
-            mask for mask in self.faces if mask.bit_count() <= q + 1}))
 
     def minimal_non_faces(self) -> tuple[int, ...]:
         """Subsets not in K all of whose proper subsets are in K, sorted."""
@@ -264,14 +251,6 @@ class SimplicialComplex:
                         return vertices_from_mask(mask)
         return None
 
-    def relabeled(self, perm: Sequence[int]) -> "SimplicialComplex":
-        """Apply the vertex permutation perm (perm[i-1] = new label of i)."""
-        p = tuple(perm)
-        if sorted(p) != list(range(1, self.m + 1)):
-            raise InputError("perm must be a permutation of 1..m")
-        return SimplicialComplex(self.m, frozenset({
-            _relabel_mask(mask, p) for mask in self.faces}))
-
 
 @dataclass(frozen=True)
 class ShiftedVerdict:
@@ -279,17 +258,25 @@ class ShiftedVerdict:
     labeling: tuple[int, ...] | None
     counterexample: tuple[int, ...] | None
 
-    def __bool__(self) -> bool:
-        return self.shifted
-
 
 # -- free functions -----------------------------------------------------------
 
 def skeleton(m: int, q: int) -> SimplicialComplex:
-    """q-skeleton of the full simplex on m vertices; q = m-1 is the simplex."""
+    """q-skeleton of the full simplex on m vertices; q = m-1 is the simplex.
+
+    The faces are listed size by size, so the work is the face count: a
+    closure of the C(m, q+1) facets would visit each face once per facet
+    above it.
+    """
     if q < -1 or q > m - 1:
         raise InputError(f"skeleton degree {q} outside -1..{m - 1}")
-    return SimplicialComplex.from_maximal_faces(m, combinations(range(1, m + 1), q + 1))
+    if m < 1:
+        raise InputError("skeleton needs m >= 1")
+    if m > MAX_ENUMERATION_VERTICES:
+        raise InputError(f"m = {m} exceeds enumeration cap {MAX_ENUMERATION_VERTICES}")
+    return SimplicialComplex(m, frozenset(
+        sum(1 << b for b in face)
+        for size in range(q + 2) for face in combinations(range(m), size)))
 
 
 def validate(k: SimplicialComplex, strict: bool = False) -> list[Diagnostic]:

@@ -88,10 +88,14 @@ def parse_complex_text(text: str, source: str = "<string>") -> SimplicialComplex
         if directive == "m":
             if m is not None:
                 raise InputError(f"{where}: duplicate m directive")
-            # isdecimal, not isdigit: int() refuses digits like '²'
-            if len(rest) != 1 or not rest[0].isdecimal() or int(rest[0]) < 1:
+            # isdecimal, not isdigit: int() refuses digits like '²'; it also
+            # refuses a token longer than its digit limit (4,300 by default)
+            try:
+                m = int(rest[0]) if len(rest) == 1 and rest[0].isdecimal() else 0
+            except ValueError:
+                m = 0
+            if m < 1:
                 raise InputError(f"{where}: m needs one positive integer")
-            m = int(rest[0])
         elif directive == "face":
             if m is None:
                 raise InputError(f"{where}: face before the m directive")

@@ -493,9 +493,6 @@ class HomologySummary:
                 return chain
         return ()
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _, _ in self.groups)
-
     def is_trivial(self) -> bool:
         return not self.groups
 

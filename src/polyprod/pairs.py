@@ -148,32 +148,12 @@ def pair_disk_sphere(n: int) -> PairModel:
 def sphere_pair(n: int) -> PairModel:
     """(S^n, *) with the minimal CW structure, n >= 1."""
     if n < 1:
-        raise InputError("sphere_pair needs n >= 1; use pair_disk_sphere(0) ideas for S^0")
+        raise InputError("sphere_pair needs n >= 1")
     cells = [("v", 0, True, {}), ("s", n, False, {})]
     return _build(f"(S{n},pt)", cells, "v", null_homotopic=True)
 
 
 # -- space models (everything in A) ---------------------------------------------
-
-def point_space() -> PairModel:
-    return _build("pt", [("v", 0, True, {})], "v", null_homotopic=False)
-
-
-def s0_space() -> PairModel:
-    cells = [("v", 0, True, {}), ("w", 0, True, {})]
-    return _build("S0", cells, "v", null_homotopic=False)
-
-
-def sphere_space(n: int) -> PairModel:
-    if n < 1:
-        raise InputError("sphere_space needs n >= 1; use s0_space for S^0")
-    cells = [("v", 0, True, {}), ("s", n, True, {})]
-    return _build(f"S{n}", cells, "v", null_homotopic=False)
-
-
-def circle_space() -> PairModel:
-    return sphere_space(1)
-
 
 def rp2_space() -> PairModel:
     """Real projective plane as one cell per dimension; the 2-cell doubles the 1-cell."""

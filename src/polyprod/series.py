@@ -121,14 +121,6 @@ class RationalSeries:
         return cls(num, den)
 
     @classmethod
-    def from_polynomial(cls, coeffs: Sequence[int]) -> "RationalSeries":
-        return cls.make(coeffs)
-
-    @classmethod
-    def zero(cls) -> "RationalSeries":
-        return cls.make(())
-
-    @classmethod
     def one(cls) -> "RationalSeries":
         return cls.make((1,))
 
@@ -142,9 +134,6 @@ class RationalSeries:
         return RationalSeries.make(
             poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
             poly_mul(self.den, other.den))
-
-    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        return self + RationalSeries.make(poly_neg(other.num), other.den)
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         return RationalSeries.make(
@@ -164,9 +153,6 @@ class RationalSeries:
     __hash__ = None
 
     # queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def constant_term(self) -> int:
         if not self.num:
@@ -203,9 +189,6 @@ class RationalSeries:
         dividend += [0] * (order + len(den) - len(dividend))
         quot, _ = poly_divmod_exact(dividend, den)
         return quot + (0,) * (order + 1 - len(quot))
-
-    def coefficient(self, degree: int) -> int:
-        return self.expansion(degree)[degree]
 
     def __str__(self) -> str:
         if self.den == (1,):

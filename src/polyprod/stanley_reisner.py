@@ -4,19 +4,19 @@ The face ring of K over m degree-d generators has a monomial basis indexed
 by pairs (face, positive exponent vector on that face), which is the
 paper's additive decomposition  sum_{I in K} (t^d / (1 - t^d))^{|I|}:  one
 plus the reduced Poincare series of the polyhedral product whose every X_i
-has the reduced series t^d / (1 - t^d).  The generalized form replaces each
-generator's geometric series by an arbitrary reduced Poincare series.
+has the reduced series t^d / (1 - t^d).  The generalized form, with each
+generator's geometric series replaced by an arbitrary reduced Poincare
+series, is one plus products.contractible_A_series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
 
 from .complexes import SimplicialComplex, vertices_from_mask
 from .errors import InputError
-from .products import contractible_A_series, poincare_polynomial
+from .products import poincare_polynomial
 from .series import RationalSeries, geometric_denominator
 
 
@@ -53,14 +53,6 @@ def sr_hilbert_series(k: SimplicialComplex, degree: int = 2) -> RationalSeries:
     generator = RationalSeries.make((0,) * degree + (1,),
                                     geometric_denominator(degree, 1))
     return RationalSeries.one() + poincare_polynomial(k, generator)
-
-
-def generalized_sr_series(k: SimplicialComplex,
-                          x_series: Sequence[RationalSeries]) -> RationalSeries:
-    """Graded dimension of the generalized face ring: monomial tensors
-    supported on faces, i.e. 1 + sum over nonempty faces of the product of
-    the chosen reduced series."""
-    return RationalSeries.one() + contractible_A_series(k, x_series)
 
 
 @dataclass(frozen=True)

@@ -251,8 +251,3 @@ def kernel_lattice_basis(lam: CharacteristicMatrix) -> tuple[tuple[int, ...], ..
             f"column rank {snf.rank} < n = {lam.n}; kernel is not a torus "
             f"complement")
     return tuple(snf.u[snf.rank:])
-
-
-def kernel_rank(lam: CharacteristicMatrix) -> int:
-    """Rank of the freely acting kernel torus: m - n for admissible input."""
-    return len(kernel_lattice_basis(lam))

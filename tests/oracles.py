@@ -223,7 +223,7 @@ def contractible_A_series_by_faces(k: SimplicialComplex,
                                    ) -> RationalSeries:
     """Sum over nonempty faces I of the product of the series with i in I,
     each product and sum a RationalSeries operation."""
-    total = RationalSeries.zero()
+    total = RationalSeries.make(())
     for mask in k.faces_sorted():
         if not mask:
             continue
@@ -237,10 +237,10 @@ def contractible_A_series_by_faces(k: SimplicialComplex,
 def poincare_polynomial_by_faces(k: SimplicialComplex,
                                  px: RationalSeries) -> RationalSeries:
     """Sum over j of f_j * px^(j+1), one RationalSeries operation at a time."""
-    total = RationalSeries.zero()
+    total = RationalSeries.make(())
     for deg, count in enumerate(k.f_vector()):
         if count:
-            total = total + RationalSeries.from_polynomial((count,)) * px ** (deg + 1)
+            total = total + RationalSeries.make((count,)) * px ** (deg + 1)
     return total
 
 

@@ -327,6 +327,15 @@ def test_a_refused_input_exits_one_with_its_message(capsys, tmp_path, square_fil
     assert "Traceback" not in err
 
 
+def test_an_m_token_past_the_integer_digit_limit_is_an_input_error(capsys, tmp_path):
+    # int() refuses more than 4,300 digits with a ValueError of its own
+    bad = tmp_path / "long.cx"
+    bad.write_text("m " + "9" * 5001 + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}:1: m needs one positive integer\n"
+
+
 def test_a_basepoint_vertex_out_of_range_is_an_input_error(capsys, square_file):
     code, out, err = run(capsys, "homology", square_file,
                          "--pair", f"cone:{square_file}:0")

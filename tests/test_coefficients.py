@@ -25,10 +25,6 @@ import polyprod.homology as homology_module
 from polyprod.catalog import (
     all_complexes_on,
     cycle_complex,
-    disjoint_points,
-    projective_plane,
-    random_complex,
-    random_shifted_complex,
     simplex_boundary,
     square,
     standard_pair_library,
@@ -45,12 +41,10 @@ from polyprod.homology import (
     simplicial_chain_complex,
 )
 from polyprod.pairs import (
-    circle_space,
     cone_pair,
     pair_disk_sphere,
     rp2_pair,
     rp2_space,
-    s0_space,
     sphere_pair,
 )
 from polyprod.products import (
@@ -59,6 +53,13 @@ from polyprod.products import (
     smash_moment_angle_chain,
 )
 
+from fixtures import (
+    projective_plane,
+    random_complex,
+    random_shifted_complex,
+    s0_space,
+    sphere_space,
+)
 from oracles import mod_p_dims, uncleared_boundary_orders, universal_coefficients
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -208,8 +209,8 @@ def _acceptance_models(criterion):
     ds = pair_disk_sphere
     library = standard_pair_library()
     if criterion == "c01":
-        cases = [(disjoint_points(2), [ds(1), ds(1)]),
-                 (disjoint_points(2), [ds(1), ds(2)])]
+        cases = [(skeleton(2, 0), [ds(1), ds(1)]),
+                 (skeleton(2, 0), [ds(1), ds(2)])]
         cases += [(simplex_boundary(m), [ds(1)] * m) for m in range(2, 6)]
         return [augmented(moment_angle_chain(k, pairs)) for k, pairs in cases]
     if criterion == "c02":
@@ -238,7 +239,7 @@ def _acceptance_models(criterion):
     if criterion == "c06":
         return [smash_moment_angle_chain(k, [cone_pair(space)] * m)
                 for m in (1, 2, 3) for k in all_complexes_on(m)
-                for space in (s0_space(), circle_space(), rp2_space())]
+                for space in (s0_space(), sphere_space(1), rp2_space())]
     if criterion == "c07":
         return [augmented(moment_angle_chain(k, [sphere_pair(n)] * k.m))
                 for n in (1, 2)

@@ -1,6 +1,9 @@
 """Combinatorial layer: face sets, subcomplexes, shiftedness, validation."""
 
 import random
+import time
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -13,18 +16,7 @@ from polyprod.complexes import (
     validate,
     vertices_from_mask,
 )
-from polyprod.catalog import (
-    all_complexes_on,
-    cycle_complex,
-    disjoint_points,
-    pentagon,
-    random_complex,
-    random_shifted_complex,
-    simplex,
-    simplex_boundary,
-    square,
-    star_complex,
-)
+from polyprod.catalog import all_complexes_on, cycle_complex, simplex_boundary, square
 from polyprod.errors import (
     FaceNotInComplex,
     InputError,
@@ -33,6 +25,13 @@ from polyprod.errors import (
 )
 from polyprod.homology import reduced_simplicial_homology
 
+from fixtures import (
+    face_tuples,
+    random_complex,
+    random_shifted_complex,
+    relabeled,
+    star_complex,
+)
 from oracles import all_complexes_per_family, join_complex, order_complex_below
 
 
@@ -59,8 +58,8 @@ def test_face_sort_key_orders_by_cardinality_then_mask():
 def test_from_maximal_faces_closes_downward():
     k = SimplicialComplex.from_maximal_faces(3, [(1, 2, 3)])
     assert len(k.faces) == 8
-    assert k.has_face(())
-    assert k.has_face((1, 3))
+    assert mask_from_vertices((), 3) in k.faces
+    assert mask_from_vertices((1, 3), 3) in k.faces
     assert k.dim() == 2
     assert k.maximal_faces == (0b111,)
 
@@ -93,9 +92,9 @@ def test_full_subcomplex_relabels_and_keeps_names():
     k = square()
     sub = k.full_subcomplex((1, 3))
     assert sub.m == 2
-    assert sub.face_tuples() == ((), (1,), (2,))       # two points, no edge
+    assert face_tuples(sub) == ((), (1,), (2,))       # two points, no edge
     edge = k.full_subcomplex((3, 4))
-    assert edge.has_face((1, 2))
+    assert mask_from_vertices((1, 2), 2) in edge.faces
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -105,18 +104,33 @@ def test_full_subcomplex_is_the_relabeled_faces_inside_the_subset(m):
             verts = vertices_from_mask(mask)
             label = {v: i for i, v in enumerate(verts, start=1)}
             expected = {tuple(label[v] for v in face)
-                        for face in k.face_tuples() if set(face) <= set(verts)}
+                        for face in face_tuples(k) if set(face) <= set(verts)}
             sub = k.full_subcomplex(verts)
             assert sub.m == len(verts)
-            assert set(sub.face_tuples()) == expected, (k.face_tuples(), verts)
+            assert set(face_tuples(sub)) == expected, (face_tuples(k), verts)
 
 
-def test_skeleton_free_function_matches_method():
-    k = simplex(4)
-    assert skeleton(4, 1).faces == k.skeleton(1).faces
-    assert skeleton(4, -1).face_tuples() == ((),)
+def test_skeleton_is_the_closure_of_its_facets():
+    for m in range(1, 12):
+        for q in range(-1, m):
+            facets = combinations(range(1, m + 1), q + 1)
+            assert skeleton(m, q) == SimplicialComplex.from_maximal_faces(m, facets), (m, q)
+    assert face_tuples(skeleton(4, -1)) == ((),)
+
+
+def test_skeleton_costs_its_face_count():
+    # a closure of the C(18, 9) facets walks 48,620 * 2^9 subsets for 155,382 faces
+    start = time.perf_counter()
+    k = skeleton(18, 8)
+    elapsed = time.perf_counter() - start
+    assert len(k.faces) == sum(comb(18, size) for size in range(10))
+    assert elapsed < 1.5
+
+
+@pytest.mark.parametrize("m, q", [(4, 4), (4, -2), (0, -1), (25, 0)])
+def test_skeleton_refuses_a_degree_or_vertex_count_out_of_range(m, q):
     with pytest.raises(InputError):
-        k.skeleton(4)
+        skeleton(m, q)
 
 
 def test_minimal_non_faces_of_boundary_is_full_set():
@@ -143,7 +157,7 @@ def test_order_complex_below_empty_face_is_barycentric_subdivision():
 def test_order_complex_below_maximal_face_is_empty_complex():
     oc = order_complex_below(square(), (1, 2))
     assert oc.m == 0
-    assert oc.face_tuples() == ((),)
+    assert face_tuples(oc) == ((),)
 
 
 def test_order_complex_requires_a_face():
@@ -153,10 +167,10 @@ def test_order_complex_requires_a_face():
 
 def test_link_of_a_vertex_and_of_the_empty_face():
     k = square()
-    assert k.link((1,)).face_tuples() == ((), (2,), (4,))
+    assert face_tuples(k.link((1,))) == ((), (2,), (4,))
     assert k.link((1,)).m == 4
     assert k.link(()) == k
-    assert k.link((1, 2)).face_tuples() == ((),)
+    assert face_tuples(k.link((1, 2))) == ((),)
     filled = SimplicialComplex.from_maximal_faces(3, [(1, 2, 3)])
     assert filled.link((3,)) == SimplicialComplex.from_maximal_faces(3, [(1, 2)])
 
@@ -178,21 +192,21 @@ def test_link_has_the_homology_of_the_order_complex_above_every_face():
                 verts = vertices_from_mask(sigma)
                 assert reduced_simplicial_homology(k.link(verts)) == \
                     reduced_simplicial_homology(order_complex_below(k, verts)), \
-                    (k.face_tuples(), verts)
+                    (face_tuples(k), verts)
                 cases += 1
     assert cases == 3653
 
 
 def test_star_complex_is_shifted_under_identity():
     verdict = star_complex().is_shifted()
-    assert verdict
+    assert verdict.shifted
     assert verdict.labeling == (1, 2, 3)
     assert verdict.counterexample is None
 
 
 def test_square_is_not_shifted_under_any_labeling():
     verdict = square().is_shifted()
-    assert not verdict
+    assert not verdict.shifted
     assert verdict.labeling is None
     assert verdict.counterexample is not None
 
@@ -202,34 +216,34 @@ def test_shifted_search_recovers_scrambled_labeling():
     for _ in range(10):
         m = rng.randrange(2, 6)
         k = random_shifted_complex(rng, m)
-        assert k.is_shifted((tuple(range(1, m + 1))))
+        assert k.is_shifted((tuple(range(1, m + 1)))).shifted
         perm = list(range(1, m + 1))
         rng.shuffle(perm)
-        scrambled = k.relabeled(perm)
+        scrambled = relabeled(k, perm)
         verdict = scrambled.is_shifted()
         assert verdict.shifted
-        assert scrambled.relabeled(verdict.labeling).is_shifted(
-            tuple(range(1, m + 1)))
+        assert relabeled(scrambled, verdict.labeling).is_shifted(
+            tuple(range(1, m + 1))).shifted
 
 
 def test_shifted_search_bound():
-    k = disjoint_points(9)
+    k = skeleton(9, 0)
     with pytest.raises(SearchBoundExceeded):
         k.is_shifted()
     # explicit labeling bypasses the search
-    assert k.is_shifted(tuple(range(1, 10)))
+    assert k.is_shifted(tuple(range(1, 10))).shifted
 
 
 def test_join_of_two_point_pairs_is_a_cycle():
-    j = join_complex(disjoint_points(2), disjoint_points(2))
+    j = join_complex(skeleton(2, 0), skeleton(2, 0))
     assert j.m == 4
     assert j.f_vector() == (4, 4)
     assert reduced_simplicial_homology(j) == reduced_simplicial_homology(square())
 
 
 def test_validate_clean_complex_has_no_diagnostics():
-    assert validate(pentagon()) == []
-    assert validate(pentagon(), strict=True) == []
+    assert validate(cycle_complex(5)) == []
+    assert validate(cycle_complex(5), strict=True) == []
 
 
 def test_validate_flags_ghost_vertex_only_in_strict_mode():
@@ -287,4 +301,4 @@ def test_random_complex_is_always_valid():
 
 def test_relabeled_requires_permutation():
     with pytest.raises(InputError):
-        square().relabeled((1, 1, 2, 3))
+        relabeled(square(), (1, 1, 2, 3))

@@ -9,25 +9,23 @@ from polyprod.errors import BoundaryNotSquareZero, InputError
 from polyprod.homology import check_boundaries, homology
 from polyprod.pairs import (
     PairModel,
-    circle_space,
     cone_pair,
     pair_chain,
     pair_cone,
     pair_disk_sphere,
     pair_space_basepoint,
-    point_space,
     rp2_pair,
     rp2_space,
-    s0_space,
     simplicial_space,
     sphere_pair,
-    sphere_space,
 )
 from polyprod.products import stable_splitting
 
+from fixtures import point_space, s0_space, sphere_space
+
 
 def betti_map(summary):
-    return {d: summary.betti(d) for d in summary.degrees()}
+    return {d: betti for d, betti, _ in summary.groups}
 
 
 def test_library_pairs_validate_and_square_to_zero():
@@ -59,21 +57,25 @@ def test_sphere_pair_is_based_sphere():
         assert betti_map(h) == {n: 1}
         assert tuple(pair.a_cells()) == (pair.basepoint,)
         assert pair.null_homotopic_inclusion
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         sphere_pair(0)
+    assert str(err.value) == "sphere_pair needs n >= 1"
+    with pytest.raises(InputError) as err:
+        sphere_space(0)
+    assert str(err.value) == "sphere_space needs n >= 1"
 
 
 def test_space_models():
     assert homology(pair_chain(point_space())).betti(0) == 1
     assert homology(pair_chain(s0_space())).betti(0) == 2
-    assert betti_map(homology(pair_chain(circle_space()), reduced=True)) == {1: 1}
+    assert betti_map(homology(pair_chain(sphere_space(1)), reduced=True)) == {1: 1}
     assert betti_map(homology(pair_chain(sphere_space(3)), reduced=True)) == {3: 1}
     rp2 = homology(pair_chain(rp2_space()))
     assert rp2.betti(0) == 1 and rp2.betti(1) == 0 and rp2.torsion(1) == (2,)
 
 
 def test_space_models_are_not_certified():
-    for space in (point_space(), s0_space(), circle_space(), rp2_space()):
+    for space in (point_space(), s0_space(), sphere_space(1), rp2_space()):
         assert not space.null_homotopic_inclusion
         assert space.all_in_a()
 
@@ -89,7 +91,7 @@ def test_cone_over_rp2():
 
 
 def test_cone_pair_over_arbitrary_space():
-    for space in (s0_space(), circle_space(), sphere_space(2)):
+    for space in (s0_space(), sphere_space(1), sphere_space(2)):
         pair = cone_pair(space)
         assert pair.n_cells() == 2 * space.n_cells() + 1
         assert homology(pair_chain(pair), reduced=True).is_trivial()

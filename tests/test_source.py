@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from test_readme import fenced_blocks
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "polyprod"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ERRORS = PACKAGE / "errors.py"
-READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+BENCH = sorted((ROOT / "bench").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,12 +54,22 @@ def test_unused_import_finder_sees_plain_and_from_imports():
     assert unused_imports(source) == ["system", "iter_product"]
 
 
-def name_counts(tree: ast.AST) -> Counter[str]:
+def name_counts(tree: ast.AST, strings: bool = False) -> Counter[str]:
     """How often each Name node and attribute name occurs in a tree; an
-    import alone names nothing."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree)
-                   if isinstance(node, (ast.Name, ast.Attribute)))
+    import alone names nothing.  With strings, a string constant that is a
+    dotted name, such as "SimplicialComplex.full_subcomplex", names each of
+    its parts too."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                counts.update(parts)
+    return counts
 
 
 def names_read(source: str) -> set[str]:
@@ -67,11 +79,15 @@ def names_read(source: str) -> set[str]:
 def dead_definitions(modules: list[str], readers: list[str]) -> list[str]:
     """Module-level functions and classes of the modules that no module or
     reader names outside their own definition (a recursive call is not a
-    use)."""
+    use).  A reader may name one by string, as bench/tracer.py's
+    ("polyprod.homology", "quotient_complex") targets do; a module's own
+    strings are messages and JSON keys, and name nothing."""
     trees = [ast.parse(source) for source in modules]
     named = Counter()
-    for tree in trees + [ast.parse(source) for source in readers]:
+    for tree in trees:
         named.update(name_counts(tree))
+    for source in readers:
+        named.update(name_counts(ast.parse(source), strings=True))
     return [node.name for tree in trees for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and named[node.name] == name_counts(node)[node.name]]
@@ -104,9 +120,11 @@ def test_names_read_skips_bare_imports():
 
 
 def test_every_module_level_function_and_class_is_named_somewhere():
-    package = [p.read_text() for p in MODULES]
-    others = [p.read_text() for p in READERS if p.parent != PACKAGE]
-    assert dead_definitions(package, others) == []
+    """Tests are not readers: a definition that only tests reach belongs in
+    tests/, not in the library."""
+    package = [p.read_text(encoding="utf-8") for p in MODULES]
+    readers = [p.read_text(encoding="utf-8") for p in BENCH] + fenced_blocks("python")
+    assert dead_definitions(package, readers) == []
 
 
 def test_dead_definition_finder_counts_only_uses_outside_the_definition():
@@ -120,6 +138,20 @@ def test_dead_definition_finder_counts_only_uses_outside_the_definition():
               "from mod import by_import\n"
               "mod.by_attribute()\n")
     assert dead_definitions([module], [reader]) == ["Dead", "recursive", "by_import"]
+
+
+def test_dead_definition_finder_counts_dotted_name_strings_in_readers():
+    module = ("def by_target(): pass\n"
+              "def by_call(): pass\n"
+              "def by_message(): pass\n"
+              "def by_own_key(): return {'by_own_key': 1}\n"
+              "class Owner:\n"
+              "    def method(self): pass\n")
+    reader = ('TARGETS = {"span": ("mod", "by_target"),\n'
+              '           "method": ("mod", "Owner.method"),\n'
+              '           "call": ("mod", "by_call()")}\n'
+              'print("see by_message for more")\n')
+    assert dead_definitions([module], [reader]) == ["by_call", "by_message", "by_own_key"]
 
 
 FILE_CALLS = {"open", "read_text", "write_text"}
