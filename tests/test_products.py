@@ -46,7 +46,6 @@ from polyprod.pairs import (
     pair_space_basepoint,
     rp2_pair,
     rp2_space,
-    simplicial_space,
     sphere_pair,
 )
 import polyprod.products as products_module
