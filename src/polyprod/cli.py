@@ -8,9 +8,9 @@ input problems (bad files, bad flags, budget or bound violations).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from multiprocessing import Pool
 from typing import Callable, Sequence
 
@@ -57,6 +57,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _json(value, newline: str = "\n") -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), for payloads
+    of dicts with str keys, lists, tuples, str, int, bool and None.
+
+    json.dumps runs its pure-Python encoder whenever indent is set; this
+    builds the same text with one call per value.  Any other type, floats
+    and non-str keys included, raises TypeError: a payload holds exact
+    integers only.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(key) + ": " + _json(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, payload: dict, tsv_rows: Sequence[Sequence]) -> None:
     if args.format == "tsv":
         for row in tsv_rows:
@@ -64,7 +94,7 @@ def _emit(args, payload: dict, tsv_rows: Sequence[Sequence]) -> None:
     else:
         out = {"schema": SCHEMA, "command": args.command}
         out.update(payload)
-        print(json.dumps(out, sort_keys=True, indent=2))
+        print(_json(out))
 
 
 def _homology_rows(summary: HomologySummary) -> list[tuple]:

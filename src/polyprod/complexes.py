@@ -8,7 +8,8 @@ faces, links and subcomplexes are computed from it when asked for.
 Only from_faces checks closure: the builders here keep it by construction.
 
 Operations that enumerate all 2^m subsets (skeleta, minimal non-faces,
-subset sums) are capped at m <= MAX_ENUMERATION_VERTICES.
+subset sums) are capped at m <= MAX_ENUMERATION_VERTICES, and closing a
+list of faces at CLOSURE_SUBSET_BOUND subsets walked in all.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
 
 MAX_ENUMERATION_VERTICES = 24
 SHIFTED_SEARCH_BOUND = 8
+CLOSURE_SUBSET_BOUND = 1 << 18
 
 
 # -- bitmask helpers ----------------------------------------------------------
@@ -104,13 +106,19 @@ class SimplicialComplex:
 
         The input faces need not be maximal or distinct.  m = 0 is
         rejected; use from_faces(0, (0,)) for the empty complex with no
-        vertices.
+        vertices.  The closure walks every subset of every input face, so
+        more than CLOSURE_SUBSET_BOUND subsets in all are refused before
+        any is walked.
         """
         if m < 1:
             raise InputError("from_maximal_faces needs m >= 1")
         if m > MAX_ENUMERATION_VERTICES:
             raise InputError(f"m = {m} exceeds enumeration cap {MAX_ENUMERATION_VERTICES}")
         input_masks = [mask_from_vertices(f, m) for f in maximal]
+        walk = sum(1 << mask.bit_count() for mask in input_masks)
+        if walk > CLOSURE_SUBSET_BOUND:
+            raise SearchBoundExceeded(f"closing the input faces walks {walk} subsets; "
+                                      f"bound is {CLOSURE_SUBSET_BOUND}")
         faces = {0}
         for mask in input_masks:
             faces.update(submasks(mask))

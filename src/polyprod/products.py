@@ -113,13 +113,14 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
     checked d o d = 0 when it was built, so with the Koszul sign and K
     closed it holds.
 
-    The budget counts the cells to be enumerated and is checked at call
+    The budget counts the cells of the whole model and is checked at call
     time, before any is built.  The blocks are then built one at a time, in
-    mask order, as the caller asks for them, so a caller that drops each
-    block after using it never holds the whole model.  Within a block the
-    basis is ordered by degree, then by cell tuple.
+    mask order, as the caller asks for them.  While a caller uses a block
+    the stream holds that block and the partial cells pending on the
+    walk's stack: at most one list per coordinate, none longer than a
+    block.  Within a block the basis is ordered by degree, then by cell
+    tuple.
     """
-    drop = [-1 if basis == "cellular" else p.basepoint for p in pairs]
     a_cells = [tuple(c for c in p.a_cells()
                      if basis != "smash" or c != p.basepoint) for p in pairs]
     x_cells = [p.x_only_cells() for p in pairs]
@@ -131,13 +132,11 @@ def _product_chain(k: SimplicialComplex, pairs: tuple[PairModel, ...],
         needed += count
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    return _product_blocks(k, pairs, drop, a_cells, x_cells)
+    return _product_blocks(k, pairs, basis)
 
 
 def _product_blocks(k: SimplicialComplex, pairs: tuple[PairModel, ...],
-                    drop: list[int], a_cells: list[tuple[int, ...]],
-                    x_cells: list[tuple[int, ...]]
-                    ) -> Iterator[tuple[int, ChainComplex]]:
+                    basis: str) -> Iterator[tuple[int, ChainComplex]]:
     """The blocks of _product_chain, built as they are asked for.
 
     A cell (c_0, ..., c_{m-1}) is the integer code sum c_i << bits*(m-1-i),
@@ -145,64 +144,103 @@ def _product_blocks(k: SimplicialComplex, pairs: tuple[PairModel, ...],
     0 sits in the top bits, so codes sort as the cell tuples do and the
     basis order is the tuple order.  Each cell carries its boundary terms as
     (code offset, coefficient) pairs: the term moving coordinate i from c_i
-    to t has offset (t - c_i) << bits*(m-1-i), and its coefficient is signed
-    by the parity of the odd cells before i.  An offset moves only its own
-    coordinate, so the terms stay valid while the cell is extended by later
-    coordinates, and a column is {pos[code + offset]: coefficient}, with no
-    loop over coordinates and no tuple built.  Each degree's (code, terms)
-    list is released as soon as its columns are built.
+    to t has offset (t - c_i) << bits*(m-1-i).  An offset moves only its
+    own coordinate, so the terms stay valid while the cell is extended by
+    other coordinates, and a column is {pos[code + offset]: coefficient},
+    with no loop over coordinates and no tuple built.
+
+    The cells are chosen depth-first, from coordinate m-1 down to 0.  At
+    coordinate i a partial cell takes one branch after another: in the
+    split basis first the basepoint (i not in the block), then any other
+    cell (i in the block); in the other bases any cell, and * is left out
+    of the smash basis.  It takes an X-only cell only when its support plus
+    i is a face of K.  So the blocks are finished in mask order, each
+    partial cell is made once and shared by every block below it, and only
+    the partial cells pending on the walk's stack outlive a block.  Partial
+    cells are listed by degree, and the new coordinate is the outer loop of
+    each extension, so every list stays in code order and a block's cells
+    of each degree come out in basis order with no sort.
+
+    The Koszul sign of the term at coordinate i is the parity of the cells
+    below i, which the walk has not chosen yet.  It is the parity of the
+    cell's degree plus that of the cells at i and above, so a term is
+    signed by the latter and a column of odd degree is negated when it is
+    built.
     """
     m = k.m
+    faces = k.faces
     bits = max(p.n_cells() - 1 for p in pairs).bit_length()
 
-    def choices(i: int, p: PairModel, cells: tuple[int, ...]) -> list[tuple]:
-        # per cell: its shifted code, its degree (high bits) and block (low m
-        # bits) as one summand, whether it flips the sign of later
-        # coordinates, and its boundary after the basepoint drop, by sign
+    def row(i: int, cells: Iterable[int]) -> tuple[tuple, ...]:
+        # per cell: its shifted code, its degree, its boundary after the
+        # basepoint drop signed for a partial cell of even and of odd degree,
+        # and the support bit of an X-only cell
+        p = pairs[i]
+        drop = -1 if basis == "cellular" else p.basepoint
         shift = bits * (m - 1 - i)
+        x_only = set(p.x_only_cells())
         out = []
         for c in cells:
             terms = tuple(((t - c) << shift, coeff)
-                          for t, coeff in p.boundaries[c] if t != drop[i])
-            out.append((c << shift,
-                        (p.dims[c] << m) | (0 if c == drop[i] else 1 << i),
-                        p.dims[c] & 1,
-                        (terms, tuple((off, -coeff) for off, coeff in terms))))
-        return out
+                          for t, coeff in p.boundaries[c] if t != drop)
+            negated = tuple((off, -coeff) for off, coeff in terms)
+            out.append((c << shift, p.dims[c],
+                        (negated, terms) if p.dims[c] & 1 else (terms, negated),
+                        1 << i if c in x_only else 0))
+        return tuple(out)
 
-    a_choices = [choices(i, p, a_cells[i]) for i, p in enumerate(pairs)]
-    x_choices = [choices(i, p, x_cells[i]) for i, p in enumerate(pairs)]
-    groups: dict[int, list[tuple[int, tuple]]] = {}
-    for face in k.faces:
-        cells = [(0, 0, 0, ())]
-        for i in range(m):
-            row = x_choices[i] if face >> i & 1 else a_choices[i]
-            cells = [(code + shifted, key + weight, parity ^ odd, terms + signed[parity])
-                     for code, key, parity, terms in cells
-                     for shifted, weight, odd, signed in row]
-        for code, key, _, terms in cells:
-            groups.setdefault(key, []).append((code, terms))
-    low = (1 << m) - 1
-    by_block: dict[int, dict[int, list[tuple[int, tuple]]]] = {}
-    for key in sorted(groups):
-        by_block.setdefault(key & low, {})[key >> m] = groups.pop(key)
+    # per coordinate, its branches in mask order: (its bit in the block
+    # mask, the cells it may take there)
+    branches = []
+    for i, p in enumerate(pairs):
+        cells = row(i, (c for c in range(p.n_cells())
+                        if basis == "cellular" or c != p.basepoint))
+        if basis == "split":
+            branches.append(((0, row(i, (p.basepoint,))), (1 << i, cells)))
+        else:
+            branches.append(((1 << i, cells),))
+    # a pending item extends its partial cells at coordinate i along one
+    # branch; they are kept by degree, as (code, support, terms) lists
+    stack = [(m - 1, 0, {0: [(0, 0, ())]}, branch) for branch in reversed(branches[m - 1])]
+    while stack:
+        i, mask, cells, (bit, choices) = stack.pop()
+        free = {deg: [cell for cell in group if cell[1] | 1 << i in faces]
+                for deg, group in cells.items()}
+        grown: dict[int, list[tuple[int, int, tuple]]] = {}
+        for shifted, dim, signed, x_bit in choices:
+            for deg, group in (free if x_bit else cells).items():
+                if group:
+                    own = signed[deg & 1]
+                    grown.setdefault(deg + dim, []).extend(
+                        [(code + shifted, support | x_bit, own + terms)
+                         for code, support, terms in group])
+        # this level's lists must not outlive it while a block is in use
+        cells = free = None
+        if not grown:
+            continue
+        if i:
+            stack.extend((i - 1, mask | bit, grown, branch)
+                         for branch in reversed(branches[i - 1]))
+        else:
+            yield mask | bit, _assembled(grown)
 
-    # one block at a time, so only its cells are indexed; support shrinks
-    # and the block is kept, so every target is a cell of the block
-    for block in sorted(by_block):
-        by_degree = by_block.pop(block)
-        for cells in by_degree.values():
-            cells.sort()
-        dims = {d: len(cells) for d, cells in by_degree.items()}
-        pos = {code: i for cells in by_degree.values()
-               for i, (code, _) in enumerate(cells)}
-        boundaries: dict[int, tuple[dict[int, int], ...]] = {}
-        for d in dims:
+
+def _assembled(by_degree: dict[int, list[tuple[int, int, tuple]]]) -> ChainComplex:
+    """The chain complex of one block's cells, listed by degree in code
+    order; each degree's list is released as its columns are built."""
+    dims = {d: len(by_degree[d]) for d in sorted(by_degree)}
+    pos = {code: n for group in by_degree.values() for n, (code, _, _) in enumerate(group)}
+    boundaries: dict[int, tuple[dict[int, int], ...]] = {}
+    for d in dims:
+        if d & 1:
+            cols = tuple({pos[code + off]: -coeff for off, coeff in terms}
+                         for code, _, terms in by_degree.pop(d))
+        else:
             cols = tuple({pos[code + off]: coeff for off, coeff in terms}
-                         for code, terms in by_degree.pop(d))
-            if any(cols):
-                boundaries[d] = cols
-        yield block, ChainComplex(dims, boundaries)
+                         for code, _, terms in by_degree.pop(d))
+        if any(cols):
+            boundaries[d] = cols
+    return ChainComplex(dims, boundaries)
 
 
 def moment_angle_chain(k: SimplicialComplex, pairs: Sequence[PairModel],
@@ -231,7 +269,9 @@ def moment_angle_blocks(k: SimplicialComplex, pairs: Sequence[PairModel],
     homology, and H-tilde(Z) leaves out block 0 (one cell in degree 0).
     Empty blocks are omitted.  The budget counts the cells of the whole
     model, as for moment_angle_chain, and is checked at call time; each
-    block is built when it is asked for.
+    block is built when it is asked for, and the stream holds no more than
+    the current block and the partial cells pending on its walk, at most
+    one list per vertex and none longer than a block.
     """
     return _product_chain(k, _check_arity(k, pairs), budget, "split")
 

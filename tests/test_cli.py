@@ -9,11 +9,12 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polyprod
 from polyprod import cli
 from polyprod.cli import main
-from polyprod.complexes import vertices_from_mask
+from polyprod.complexes import CLOSURE_SUBSET_BOUND, vertices_from_mask
 from polyprod.errors import InputError
 from polyprod.files import (
     load_complex,
@@ -510,6 +511,23 @@ def test_hochster_on_eighteen_points_hits_the_nonface_bound(tmp_path):
     assert f"{(1 << 18) - 19} non-faces; bound is {HOCHSTER_NONFACE_BOUND}" in proc.stderr
 
 
+def test_validate_of_one_twenty_vertex_face_hits_the_closure_bound(tmp_path):
+    # closing one 20-vertex face walks 2^20 subsets; the count must be
+    # refused before any is walked
+    simplex = tmp_path / "simplex.cx"
+    simplex.write_text("m 20\nface " + " ".join(map(str, range(1, 21))) + "\n")
+    src = str(Path(polyprod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyprod.cli", "validate", str(simplex)],
+        capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: closing the input faces walks {1 << 20} subsets; "
+                           f"bound is {CLOSURE_SUBSET_BOUND}\n")
+
+
 def test_wedge_lemma_on_a_seven_vertex_sphere_finishes(tmp_path):
     # the boundary of the 6-simplex: its barycentric subdivision has 47,293
     # faces, so the left factors must come from links, not order complexes
@@ -674,3 +692,29 @@ def test_json_output_is_sorted_and_stable(capsys, square_file):
     _, out, _ = run(capsys, "homology", square_file, "--pair", "disk-sphere:1")
     payload = json.loads(out)
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers(-2**70, 2**70) | st.sampled_from([0, 2**64, -2**64 - 1]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps_with_sorted_keys_and_indent(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_writer_escapes_like_json_dumps():
+    value = {"é": ["", "\x00\x1f\"\\/", "\U0001f600", " "], "": {}, "b": [[], {}]}
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.0, {"x": [float("nan")]}, {1: 2}, {"x": {1, 2}}])
+def test_json_writer_refuses_what_a_payload_never_holds(value):
+    with pytest.raises(TypeError):
+        cli._json(value)

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import polyprod.complexes as complexes
 from polyprod.complexes import (
     SimplicialComplex,
     face_sort_key,
@@ -62,6 +63,15 @@ def test_from_maximal_faces_closes_downward():
     assert mask_from_vertices((1, 3), 3) in k.faces
     assert k.dim() == 2
     assert k.maximal_faces == (0b111,)
+
+
+def test_from_maximal_faces_counts_the_closure_walk_before_it_walks(monkeypatch):
+    # the walk is the sum of 2^|f| over the input faces, repeats included
+    monkeypatch.setattr(complexes, "CLOSURE_SUBSET_BOUND", 16)
+    k = SimplicialComplex.from_maximal_faces(5, [(1, 2, 3), (3, 4), (3, 4)])
+    assert face_tuples(k)[-1] == (1, 2, 3)
+    with pytest.raises(SearchBoundExceeded, match="walks 18 subsets; bound is 16"):
+        SimplicialComplex.from_maximal_faces(5, [(1, 2, 3), (3, 4), (3, 4), (5,)])
 
 
 def test_from_faces_refuses_a_face_set_that_is_not_closed():

@@ -6,6 +6,7 @@ against previously recorded output.
 """
 
 import random
+import tracemalloc
 import weakref
 from dataclasses import replace
 from itertools import product
@@ -334,6 +335,23 @@ def test_blocks_budget_counts_the_whole_model():
     assert sum(c.total_cells() for _, c in blocks) == cells
 
 
+def test_the_block_stream_holds_a_block_not_the_model():
+    # 17,664 cells, none of whose blocks has more than 56; the cells of the
+    # whole model with their boundary terms take about 2.8 MB
+    k, pairs = skeleton(10, 1), [ds(0)] * 10
+    tracemalloc.start()
+    try:
+        cells = 0
+        for _, block in moment_angle_blocks(k, pairs):
+            cells += block.total_cells()
+            del block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells == moment_angle_chain(k, pairs).total_cells() == 17664
+    assert peak < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # the integer-coded builder against the tuple-keyed reference
 # ---------------------------------------------------------------------------
@@ -391,6 +409,23 @@ def test_builders_agree_on_random_complexes(m, seed, picks, basis):
         _assert_builders_agree(k, pairs, basis, budget=4000)
     except BudgetExceeded:
         assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 6), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([0, 1, 2]), min_size=3, max_size=3))
+def test_builders_agree_with_odd_cells_on_many_coordinates(m, seed, fillers):
+    # the walk signs a term before it has chosen the coordinates below it;
+    # (C RP2, RP2), the cone and (D1,S0) put odd cells on several of them
+    rng = random.Random(seed)
+    picks = [3, 4, 1] + fillers[:m - 3]
+    rng.shuffle(picks)
+    k = random_complex(rng, m)
+    for basis in BASES:
+        try:
+            _assert_builders_agree(k, [MIXED_PAIRS[i] for i in picks], basis, budget=6000)
+        except BudgetExceeded:
+            assume(False)
 
 
 # ---------------------------------------------------------------------------

@@ -181,3 +181,31 @@ def test_encoding_finder_sees_calls_and_method_calls():
               "with open('e', 'w') as f:\n"
               "    f.write('x')\n")
     assert file_calls_without_encoding(source) == [2, 4, 6]
+
+
+def indented_json_calls(source: str) -> list[int]:
+    """Lines of dump and dumps calls, as json.dumps or as a bare imported
+    name, with an indent= keyword; with one, CPython's json encodes in pure
+    Python, not with its C encoder."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) in {"dump", "dumps"}
+            and any(kw.arg == "indent" for kw in node.keywords)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_json_call_asks_for_indentation(path):
+    assert indented_json_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_indented_json_finder_sees_dump_and_dumps_with_indent():
+    source = ("import json\n"
+              "json.dumps(x, indent=2)\n"
+              "json.dumps(x, sort_keys=True)\n"
+              "json.dump(x, f,\n"
+              "          indent=None)\n"
+              "dumps(x, indent=2)\n"
+              "json.loads(s, indent=2)\n"
+              "json.dumps(x)\n")
+    assert indented_json_calls(source) == [2, 4, 6]
