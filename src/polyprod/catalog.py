@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .complexes import SimplicialComplex, skeleton
+from .complexes import SimplicialComplex, _relabel_mask, face_sort_key, skeleton
 from .errors import InputError
 from .pairs import PairModel, pair_disk_sphere, rp2_pair, sphere_pair
 
@@ -53,7 +53,7 @@ def all_complexes_on(m: int, up_to_iso: bool = True) -> tuple[SimplicialComplex,
     if not 1 <= m <= 5:
         raise InputError("exhaustive complex enumeration supports 1 <= m <= 5")
     n_subsets = 1 << m
-    candidates = sorted(range(1, n_subsets), key=lambda s: (s.bit_count(), s))
+    candidates = sorted(range(1, n_subsets), key=face_sort_key)
 
     families: list[int] = []        # bitmap over the 2^m subsets; bit 0 = empty face
 
@@ -84,8 +84,8 @@ def all_complexes_on(m: int, up_to_iso: bool = True) -> tuple[SimplicialComplex,
 
     if up_to_iso:
         tables = [
-            [_apply_perm(mask, perm) for mask in range(n_subsets)]
-            for perm in permutations(range(m))
+            [_relabel_mask(mask, perm) for mask in range(n_subsets)]
+            for perm in permutations(range(1, m + 1))
         ]
         seen: set[int] = set()
         chosen = []
@@ -102,11 +102,3 @@ def all_complexes_on(m: int, up_to_iso: bool = True) -> tuple[SimplicialComplex,
     complexes = [SimplicialComplex(m, frozenset(faces)) for faces in chosen]
     complexes.sort(key=lambda k: (len(k.faces), tuple(sorted(k.faces))))
     return tuple(complexes)
-
-
-def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for b, target in enumerate(perm):
-        if mask >> b & 1:
-            out |= 1 << target
-    return out

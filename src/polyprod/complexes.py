@@ -5,11 +5,13 @@ means vertex i belongs to the face, so the empty face is 0 and masks compare
 deterministically.  All face listings in this package are ordered by
 (cardinality, numeric mask value).  A complex is its face set: maximal
 faces, links and subcomplexes are computed from it when asked for.
-Only from_faces checks closure: the builders here keep it by construction.
+Only validate checks closure: the builders here keep it by construction.
 
-Operations that enumerate all 2^m subsets (skeleta, minimal non-faces,
-subset sums) are capped at m <= MAX_ENUMERATION_VERTICES, and closing a
-list of faces at CLOSURE_SUBSET_BOUND subsets walked in all.
+Skeleta, closures and the subset sums of products are capped at
+m <= MAX_ENUMERATION_VERTICES, and closing a list of faces at
+CLOSURE_SUBSET_BOUND subsets walked in all.  Maximal faces and minimal
+non-faces are read off the face set, from at most m one-vertex extensions
+of each face, so neither enumerates the 2^m subsets.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    FaceNotInComplex,
-    InputError,
-    NotDownwardClosed,
-    SearchBoundExceeded,
-)
+from .errors import FaceNotInComplex, InputError, SearchBoundExceeded
 
 MAX_ENUMERATION_VERTICES = 24
 SHIFTED_SEARCH_BOUND = 8
@@ -91,7 +88,7 @@ class SimplicialComplex:
 
     `faces` always contains the empty face 0.  Equality and hashing are
     those of (m, faces); nothing else is stored.  The constructor trusts
-    its caller; a face set from outside goes through from_faces.
+    its caller; validate checks a face set from outside.
     """
 
     m: int
@@ -105,8 +102,8 @@ class SimplicialComplex:
         """Downward closure of the given faces on vertex set {1..m}.
 
         The input faces need not be maximal or distinct.  m = 0 is
-        rejected; use from_faces(0, (0,)) for the empty complex with no
-        vertices.  The closure walks every subset of every input face, so
+        rejected; SimplicialComplex(0, frozenset({0})) is the empty complex
+        with no vertices.  The closure walks every subset of every input face, so
         more than CLOSURE_SUBSET_BOUND subsets in all are refused before
         any is walked.
         """
@@ -124,17 +121,6 @@ class SimplicialComplex:
             faces.update(submasks(mask))
         return cls(m=m, faces=frozenset(faces))
 
-    @classmethod
-    def from_faces(cls, m: int, faces: Iterable[int]) -> "SimplicialComplex":
-        """The complex with these faces and the empty one, checked: a missing
-        face raises NotDownwardClosed, a mask beyond m InputError."""
-        k = cls(m=m, faces=frozenset(faces) | {0})
-        for d in validate(k):
-            if d.kind == "not_downward_closed":
-                raise NotDownwardClosed(d.face)
-            raise InputError(d.message)
-        return k
-
     # basic queries -----------------------------------------------------
 
     def dim(self) -> int:
@@ -146,8 +132,11 @@ class SimplicialComplex:
 
     @property
     def maximal_faces(self) -> tuple[int, ...]:
-        """The faces contained in no other face, sorted."""
-        return _maximal_of(self.faces)
+        """The faces to which no vertex can be added without leaving K,
+        sorted: m lookups per face."""
+        faces = self.faces
+        return sorted_faces(f for f in faces if all(
+            (f | 1 << b) not in faces for b in range(self.m) if not f >> b & 1))
 
     # f- and h-vectors --------------------------------------------------
 
@@ -192,16 +181,24 @@ class SimplicialComplex:
             _relabel_mask(mask, labels) for mask in self.faces if mask | sel_mask == sel_mask}))
 
     def minimal_non_faces(self) -> tuple[int, ...]:
-        """Subsets not in K all of whose proper subsets are in K, sorted."""
-        if self.m > MAX_ENUMERATION_VERTICES:
-            raise SearchBoundExceeded(f"m = {self.m} exceeds {MAX_ENUMERATION_VERTICES}")
+        """Subsets not in K all of whose proper subsets are in K, sorted.
+
+        A minimal non-face less its top vertex is a face f, so each one is
+        f plus a vertex above f's top vertex.  Every subset is tried at most
+        once that way, so there are at most m candidates per face.
+        """
+        faces = self.faces
         out = []
-        for mask in range(1 << self.m):
-            if mask in self.faces:
-                continue
-            if all((mask & ~(1 << b)) in self.faces
-                   for b in range(self.m) if mask >> b & 1):
-                out.append(mask)
+        for f in faces:
+            for b in range(f.bit_length(), self.m):
+                g = f | 1 << b
+                if g in faces:
+                    continue
+                rest = f        # the vertices whose deletion from g is unchecked
+                while rest and (g ^ (rest & -rest)) in faces:
+                    rest &= rest - 1
+                if not rest:
+                    out.append(g)
         return sorted_faces(out)
 
     def link(self, sigma: Iterable[int]) -> "SimplicialComplex":
@@ -316,15 +313,6 @@ def validate(k: SimplicialComplex, strict: bool = False) -> list[Diagnostic]:
 
 
 # -- internals ----------------------------------------------------------------
-
-def _maximal_of(faces) -> tuple[int, ...]:
-    sorted_desc = sorted(faces, key=face_sort_key, reverse=True)
-    maximal: list[int] = []
-    for mask in sorted_desc:
-        if not any(mask & big == mask for big in maximal):
-            maximal.append(mask)
-    return sorted_faces(maximal)
-
 
 def _relabel_mask(mask: int, perm: Sequence[int]) -> int:
     out = 0

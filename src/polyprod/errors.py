@@ -15,14 +15,6 @@ class InputError(PolyprodError, ValueError):
 
 # -- simplicial complexes -----------------------------------------------------
 
-class NotDownwardClosed(InputError):
-    """A face set is missing a subset of one of its members."""
-
-    def __init__(self, face):
-        self.face = tuple(face)
-        super().__init__(f"face set is not downward closed: missing {self.face}")
-
-
 class FaceNotInComplex(InputError):
     def __init__(self, face):
         self.face = tuple(face)

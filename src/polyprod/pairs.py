@@ -17,7 +17,7 @@ valid under that hypothesis refuse uncertified models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .complexes import SimplicialComplex, mask_from_vertices, vertices_from_mask
 from .errors import InputError
@@ -189,11 +189,9 @@ def _face_id(mask: int) -> str:
 def pair_space_basepoint(k: SimplicialComplex, vertex: int) -> PairModel:
     """(X, *) for a simplicial X: only the basepoint vertex lies in A."""
     space = simplicial_space(k, vertex)
-    base_id = _face_id(1 << (vertex - 1))
-    cells = [(cid, space.dims[i], cid == base_id,
-              {space.cell_ids[t]: c for t, c in space.boundaries[i]})
-             for i, cid in enumerate(space.cell_ids)]
-    return _build(f"(|K|,{vertex})", cells, base_id, null_homotopic=True)
+    return replace(space, name=f"(|K|,{vertex})",
+                   in_a=tuple(i == space.basepoint for i in range(space.n_cells())),
+                   null_homotopic_inclusion=True)
 
 
 def cone_pair(space: PairModel) -> PairModel:

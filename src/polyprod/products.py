@@ -204,10 +204,14 @@ def _product_blocks(k: SimplicialComplex, pairs: tuple[PairModel, ...],
     stack = [(m - 1, 0, {0: [(0, 0, ())]}, branch) for branch in reversed(branches[m - 1])]
     while stack:
         i, mask, cells, (bit, choices) = stack.pop()
-        free = {deg: [cell for cell in group if cell[1] | 1 << i in faces]
-                for deg, group in cells.items()}
+        # the cells that may take an X-only cell at i, made when first needed:
+        # the split basis's basepoint branch never needs them
+        free = None
         grown: dict[int, list[tuple[int, int, tuple]]] = {}
         for shifted, dim, signed, x_bit in choices:
+            if x_bit and free is None:
+                free = {deg: [cell for cell in group if cell[1] | 1 << i in faces]
+                        for deg, group in cells.items()}
             for deg, group in (free if x_bit else cells).items():
                 if group:
                     own = signed[deg & 1]

@@ -189,29 +189,3 @@ class RationalSeries:
         dividend += [0] * (order + len(den) - len(dividend))
         quot, _ = poly_divmod_exact(dividend, den)
         return quot + (0,) * (order + 1 - len(quot))
-
-    def __str__(self) -> str:
-        if self.den == (1,):
-            return _poly_str(self.num)
-        return f"({_poly_str(self.num)}) / ({_poly_str(self.den)})"
-
-
-def _poly_str(p: Sequence[int]) -> str:
-    if not p:
-        return "0"
-    terms = []
-    for i, c in enumerate(p):
-        if not c:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            mono = "t" if i == 1 else f"t^{i}"
-            if c == 1:
-                terms.append(mono)
-            elif c == -1:
-                terms.append(f"-{mono}")
-            else:
-                terms.append(f"{c}*{mono}")
-    out = " + ".join(terms)
-    return out.replace("+ -", "- ")

@@ -1,11 +1,17 @@
 """Data the tests draw from: named complexes, characteristic matrices,
-space models and seeded random complexes that no library caller needs."""
+space models, seeded random complexes and a checked constructor of face
+sets, none of which a library caller needs."""
 
 from random import Random
 from typing import Sequence
 
 from polyprod.catalog import cycle_complex, simplex_boundary, square
-from polyprod.complexes import SimplicialComplex, mask_from_vertices, vertices_from_mask
+from polyprod.complexes import (
+    SimplicialComplex,
+    mask_from_vertices,
+    validate,
+    vertices_from_mask,
+)
 from polyprod.errors import InputError
 from polyprod.pairs import PairModel
 from polyprod.toric import CharacteristicMatrix
@@ -13,6 +19,16 @@ from polyprod.toric import CharacteristicMatrix
 
 def face_tuples(k: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     return tuple(vertices_from_mask(mask) for mask in k.faces_sorted())
+
+
+def from_faces(m: int, faces: Sequence[int]) -> SimplicialComplex:
+    """The complex with these faces and the empty one; InputError names
+    the first fault that validate finds."""
+    k = SimplicialComplex(m, frozenset(faces) | {0})
+    faults = validate(k)
+    if faults:
+        raise InputError(faults[0].message)
+    return k
 
 
 def relabeled(k: SimplicialComplex, perm: Sequence[int]) -> SimplicialComplex:

@@ -3,11 +3,13 @@
 Porter's skeleton wedges by a walk over every subset, and the rejected
 bookkeeping the tests pin down; homology dimensions over F_p from a rank
 mod p that never leaves the field; the order complex of the faces above a
-face, which the link replaces in the wedge lemma; the simplicial join and
-the zero graded group; the complex enumeration that canonicalizes every
-labeled family; the face-series sums taken one RationalSeries addition at
-a time; the elimination of every boundary in full, without clearing; and
-the product model built cell tuple by cell tuple.
+face, which the link replaces in the wedge lemma; minimal non-faces by a
+scan of every subset and maximal faces by a containment walk; the
+simplicial join and the zero graded group; the complex enumeration that
+canonicalizes every labeled family; the face-series sums taken one
+RationalSeries addition at a time; the elimination of every boundary in
+full, without clearing; and the product model built cell tuple by cell
+tuple.
 """
 
 from itertools import permutations, product
@@ -25,6 +27,8 @@ from polyprod.errors import ArityMismatch, FaceNotInComplex, InputError
 from polyprod.homology import ChainComplex, HomologySummary, _elimination_orders
 from polyprod.pairs import PairModel
 from polyprod.series import RationalSeries
+
+from fixtures import from_faces
 
 
 # -- Porter's skeleton wedges -------------------------------------------------
@@ -143,7 +147,27 @@ def order_complex_below(k: SimplicialComplex,
         chains.append(chain)
         for j in succ[i]:
             stack.append((j, chain | 1 << j))
-    return SimplicialComplex.from_faces(n, chains)
+    return from_faces(n, chains)
+
+
+# -- minimal non-faces and maximal faces --------------------------------------
+
+def minimal_non_faces_by_subsets(k: SimplicialComplex) -> tuple[int, ...]:
+    """Every one of the 2^m subsets that is not a face while each of its
+    one-vertex deletions is, sorted."""
+    return sorted_faces(
+        mask for mask in range(1 << k.m) if mask not in k.faces
+        and all(mask & ~(1 << b) in k.faces for b in range(k.m) if mask >> b & 1))
+
+
+def maximal_faces_by_containment(k: SimplicialComplex) -> tuple[int, ...]:
+    """The faces, largest first, that lie in no maximal face found before
+    them, sorted."""
+    maximal: list[int] = []
+    for mask in sorted(k.faces, key=lambda f: (f.bit_count(), f), reverse=True):
+        if not any(mask & big == mask for big in maximal):
+            maximal.append(mask)
+    return sorted_faces(maximal)
 
 
 # -- joins and the zero group -------------------------------------------------
@@ -211,7 +235,7 @@ def all_complexes_per_family(m: int, up_to_iso: bool = True
                 chosen.append(canon)
     else:
         chosen = [faces_of(fam) for fam in families]
-    complexes = [SimplicialComplex.from_faces(m, faces) for faces in chosen]
+    complexes = [from_faces(m, faces) for faces in chosen]
     complexes.sort(key=lambda k: (len(k.faces), tuple(sorted(k.faces))))
     return tuple(complexes)
 

@@ -528,6 +528,21 @@ def test_validate_of_one_twenty_vertex_face_hits_the_closure_bound(tmp_path):
                            f"bound is {CLOSURE_SUBSET_BOUND}\n")
 
 
+def test_sr_of_one_edge_on_twenty_four_vertices_finishes(tmp_path):
+    # the minimal non-faces come from the faces: a scan of the 2^24
+    # subsets ran for 16 s
+    edge = tmp_path / "edge.cx"
+    edge.write_text("m 24\nface 1 2\n")
+    src = str(Path(polyprod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyprod.cli", "sr", str(edge)],
+        capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["relations"] == [[v] for v in range(3, 25)]
+
+
 def test_wedge_lemma_on_a_seven_vertex_sphere_finishes(tmp_path):
     # the boundary of the 6-simplex: its barycentric subdivision has 47,293
     # faces, so the left factors must come from links, not order complexes

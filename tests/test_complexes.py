@@ -6,6 +6,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polyprod.complexes as complexes
 from polyprod.complexes import (
@@ -13,6 +14,7 @@ from polyprod.complexes import (
     face_sort_key,
     mask_from_vertices,
     skeleton,
+    sorted_faces,
     submasks,
     validate,
     vertices_from_mask,
@@ -21,19 +23,25 @@ from polyprod.catalog import all_complexes_on, cycle_complex, simplex_boundary, 
 from polyprod.errors import (
     FaceNotInComplex,
     InputError,
-    NotDownwardClosed,
     SearchBoundExceeded,
 )
 from polyprod.homology import reduced_simplicial_homology
 
 from fixtures import (
     face_tuples,
+    from_faces,
     random_complex,
     random_shifted_complex,
     relabeled,
     star_complex,
 )
-from oracles import all_complexes_per_family, join_complex, order_complex_below
+from oracles import (
+    all_complexes_per_family,
+    join_complex,
+    maximal_faces_by_containment,
+    minimal_non_faces_by_subsets,
+    order_complex_below,
+)
 
 
 def test_mask_roundtrip():
@@ -78,12 +86,12 @@ def test_from_faces_refuses_a_face_set_that_is_not_closed():
     # the edge {1,2} without its vertices: the raw constructor trusts it,
     # validate finds both gaps, and from_faces refuses it
     k = SimplicialComplex(2, frozenset({0, 0b11}))
-    assert [d.kind for d in validate(k)].count("not_downward_closed") == 2
-    with pytest.raises(NotDownwardClosed) as err:
-        SimplicialComplex.from_faces(2, (0, 0b11))
-    assert err.value.face in {(1,), (2,)}
-    with pytest.raises(InputError):
-        SimplicialComplex.from_faces(2, (0b100,))    # vertex beyond m
+    assert [(d.kind, d.face) for d in validate(k)] == [
+        ("not_downward_closed", (2,)), ("not_downward_closed", (1,))]
+    with pytest.raises(InputError, match=r"missing subset \(2,\)"):
+        from_faces(2, (0, 0b11))
+    with pytest.raises(InputError, match="beyond m=2"):
+        from_faces(2, (0b100,))
 
 
 def test_square_f_and_h_vector():
@@ -147,6 +155,38 @@ def test_minimal_non_faces_of_boundary_is_full_set():
     for m in (2, 3, 4):
         k = simplex_boundary(m)
         assert k.minimal_non_faces() == ((1 << m) - 1,)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_face_set_queries_match_their_oracles_on_every_labeled_complex(m):
+    for k in all_complexes_on(m, up_to_iso=False):
+        assert k.minimal_non_faces() == minimal_non_faces_by_subsets(k), k
+        assert k.maximal_faces == maximal_faces_by_containment(k), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**32 - 1), st.booleans())
+def test_face_set_queries_match_their_oracles_on_random_complexes(m, seed, bare):
+    # bare, or m = 0, gives {empty}: each of the m vertices is then a ghost
+    if bare or not m:
+        k = SimplicialComplex(m, frozenset({0}))
+    else:
+        k = random_complex(random.Random(seed), m)
+    assert k.minimal_non_faces() == minimal_non_faces_by_subsets(k)
+    assert k.maximal_faces == maximal_faces_by_containment(k)
+
+
+def test_maximal_faces_of_many_six_vertex_faces_is_fast():
+    # 4,096 six-vertex faces close in 2^18 subsets, the closure bound; a
+    # containment walk compares every face with every facet found so far
+    rng = random.Random(24)
+    facets = [rng.sample(range(1, 25), 6) for _ in range(4096)]
+    k = SimplicialComplex.from_maximal_faces(24, facets)
+    start = time.perf_counter()
+    maximal = k.maximal_faces
+    elapsed = time.perf_counter() - start
+    assert maximal == sorted_faces({mask_from_vertices(f, 24) for f in facets})
+    assert elapsed < 1.5
 
 
 def test_order_complex_below_vertex_of_square():

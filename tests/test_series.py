@@ -128,12 +128,6 @@ def test_power_is_the_repeated_product(num, d0, rest, k):
     assert (power.num, power.den) == (product.num, product.den)
 
 
-def test_series_str_is_readable():
-    s = RationalSeries.make((1, 0, -1), (1, -2, 1))
-    text = str(s)
-    assert "t" in text
-
-
 def test_denominator_must_be_invertible():
     with pytest.raises(SeriesError):
         RationalSeries.make((1,), (0, 1))      # constant term 0

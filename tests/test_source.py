@@ -4,6 +4,7 @@ import ast
 from collections import Counter
 from functools import cache
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -76,21 +77,32 @@ def names_read(source: str) -> set[str]:
     return set(name_counts(ast.parse(source)))
 
 
+def definitions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.ClassDef]:
+    """Module-level functions and classes, each class followed by its
+    methods and properties; dunder methods are called by Python itself and
+    are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
 def dead_definitions(modules: list[str], readers: list[str]) -> list[str]:
-    """Module-level functions and classes of the modules that no module or
-    reader names outside their own definition (a recursive call is not a
-    use).  A reader may name one by string, as bench/tracer.py's
-    ("polyprod.homology", "quotient_complex") targets do; a module's own
-    strings are messages and JSON keys, and name nothing."""
+    """The definitions of the modules that no module or reader names
+    outside their own definition (a recursive call is not a use).  A reader
+    may name one by string, as bench/tracer.py's ("polyprod.homology",
+    "quotient_complex") targets do; a module's own strings are messages and
+    JSON keys, and name nothing."""
     trees = [ast.parse(source) for source in modules]
     named = Counter()
     for tree in trees:
         named.update(name_counts(tree))
     for source in readers:
         named.update(name_counts(ast.parse(source), strings=True))
-    return [node.name for tree in trees for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and named[node.name] == name_counts(node)[node.name]]
+    return [node.name for tree in trees for node in definitions(tree)
+            if named[node.name] == name_counts(node)[node.name]]
 
 
 @cache
@@ -120,8 +132,8 @@ def test_names_read_skips_bare_imports():
 
 
 def test_every_module_level_function_and_class_is_named_somewhere():
-    """Tests are not readers: a definition that only tests reach belongs in
-    tests/, not in the library."""
+    """Methods and properties included.  Tests are not readers: a
+    definition that only tests reach belongs in tests/, not in the library."""
     package = [p.read_text(encoding="utf-8") for p in MODULES]
     readers = [p.read_text(encoding="utf-8") for p in BENCH] + fenced_blocks("python")
     assert dead_definitions(package, readers) == []
@@ -138,6 +150,24 @@ def test_dead_definition_finder_counts_only_uses_outside_the_definition():
               "from mod import by_import\n"
               "mod.by_attribute()\n")
     assert dead_definitions([module], [reader]) == ["Dead", "recursive", "by_import"]
+
+
+def test_dead_definition_finder_checks_methods_and_properties():
+    module = ("class Owner:\n"
+              "    def __init__(self): self.helper()\n"
+              "    def helper(self): pass\n"
+              "    def dead(self): return self.dead()\n"
+              "    @property\n"
+              "    def size(self): return 1\n"
+              "    @property\n"
+              "    def unread(self): return self.size\n"
+              "    @classmethod\n"
+              "    def make(cls): return cls()\n"
+              "    def by_reader(self): pass\n"
+              "    def _by_nothing(self): pass\n"
+              "Owner.make()\n")
+    reader = "Owner().by_reader()\n"
+    assert dead_definitions([module], [reader]) == ["dead", "unread", "_by_nothing"]
 
 
 def test_dead_definition_finder_counts_dotted_name_strings_in_readers():
