@@ -12,7 +12,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from multiprocessing import Pool
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import validate
 from .errors import InputError, PolyprodError
@@ -57,44 +57,74 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _json(value, newline: str = "\n") -> str:
-    """The text of json.dumps(value, sort_keys=True, indent=2), for payloads
-    of dicts with str keys, lists, tuples, str, int, bool and None.
+def _json(value, write: Callable[[str], object]) -> None:
+    """Write the text of json.dumps(value, sort_keys=True, indent=2) through
+    write, for payloads of dicts with str keys, lists, tuples, iterators,
+    str, int, bool and None.
 
-    json.dumps runs its pure-Python encoder whenever indent is set; this
-    builds the same text with one call per value.  Any other type, floats
-    and non-str keys included, raises TypeError: a payload holds exact
-    integers only.
+    An iterator is written as a list while it is consumed: each item's text
+    goes to write as soon as the item is done, together with any text
+    before it, so its items never exist all at once.  Everything else is
+    collected and written once at the end.  json.dumps runs its pure-Python
+    encoder whenever indent is set; this builds the same text with one call
+    per value.  Any other type, floats and non-str keys included, raises
+    TypeError: a payload holds exact integers only.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        items = [encode_basestring_ascii(key) + ": " + _json(value[key], inner)
-                 for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    out: list[str] = []
+
+    def put(value, newline: str) -> None:
+        if isinstance(value, str):
+            out.append(encode_basestring_ascii(value))
+        elif value is None:
+            out.append("null")
+        elif value is True:
+            out.append("true")
+        elif value is False:
+            out.append("false")
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        elif isinstance(value, dict):
+            inner = newline + "  "
+            sep = "{" + inner
+            for key in sorted(value):
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                put(value[key], inner)
+                sep = "," + inner
+            out.append("{}" if sep[0] == "{" else newline + "}")
+        elif isinstance(value, (list, tuple, Iterator)):
+            streamed = not isinstance(value, (list, tuple))
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                put(item, inner)
+                sep = "," + inner
+                if streamed:
+                    write("".join(out))
+                    out.clear()
+            out.append("[]" if sep[0] == "[" else newline + "]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    put(value, "\n")
+    write("".join(out))
 
 
 def _emit(args, payload: dict, tsv_rows: Sequence[Sequence]) -> None:
+    """Write the payload to stdout as JSON, or tsv_rows as TSV.
+
+    The JSON goes to stdout in the pieces _json writes, so an iterator in
+    the payload is written item by item as it is consumed, and the whole
+    document is never held as one string.
+    """
     if args.format == "tsv":
         for row in tsv_rows:
             print("\t".join(str(x) for x in row))
     else:
         out = {"schema": SCHEMA, "command": args.command}
         out.update(payload)
-        print(_json(out))
+        _json(out, sys.stdout.write)
+        sys.stdout.write("\n")
 
 
 def _homology_rows(summary: HomologySummary) -> list[tuple]:
@@ -102,9 +132,9 @@ def _homology_rows(summary: HomologySummary) -> list[tuple]:
             for d, b, t in summary.groups] or [("trivial", "", "")]
 
 
-def _summand_payload(summands: Sequence[SplitSummand]) -> list[dict]:
-    return [{"I": list(s.subset), "description": s.description,
-             "homology": s.homology.to_entries()} for s in summands]
+def _summand_payload(summands: Iterable[SplitSummand]) -> Iterator[dict]:
+    return ({"I": list(s.subset), "description": s.description,
+             "homology": s.homology.to_entries()} for s in summands)
 
 
 def _series_payload(series: RationalSeries, trunc: int) -> dict:
@@ -454,9 +484,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # inside the try, so a reader that closed the pipe early is caught
+        sys.stdout.flush()
+        return code
     except PolyprodError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull, so the
+        # interpreter's final flush does not raise again
+        with open(os.devnull, "w", encoding="utf-8") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_INPUT
 
 

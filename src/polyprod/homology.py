@@ -633,7 +633,8 @@ def reduced_simplicial_homology(k: SimplicialComplex) -> HomologySummary:
     """Reduced integral homology of |K|, from its reduced simplicial chains.
 
     Nothing is cached: a caller that meets the same complex twice
-    deduplicates it itself, as hochster_homology does.
+    deduplicates it itself.  hochster_homology calls this once per
+    distinct full subcomplex and keeps only the summaries.
     """
     return homology(simplicial_chain_complex(k, reduced=True))
 

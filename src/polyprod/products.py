@@ -319,17 +319,25 @@ def _block_homology(item: tuple[int, ChainComplex]) -> tuple[int, HomologySummar
 
 def hochster_homology(k: SimplicialComplex, n: int | Sequence[int],
                       job_map: MapFn | None = None
-                      ) -> tuple[HomologySummary, tuple[SplitSummand, ...]]:
+                      ) -> tuple[HomologySummary, Iterator[SplitSummand]]:
     """H-tilde of Z(K;(D^{n+1},S^n)) as the sum over subsets I not in K of the
     reduced homology of K_I shifted up by 1 + n|I|.
 
     Subsets that are faces contribute nothing (K_I is then a full simplex),
     so only the non-faces are enumerated.  `n` may also be one sphere
     dimension per vertex, in which case a subset I is shifted up by
-    1 + sum of its dimensions.  Many non-faces have equal relabeled K_I, so
-    the distinct ones are collected first and `job_map` computes each one's
-    reduced homology once; nothing is kept across calls.  More than
-    HOCHSTER_NONFACE_BOUND non-faces, 2^m - |K|, are refused up front.
+    1 + sum of its dimensions.
+
+    Two passes.  The first walks the non-faces in face order and keeps, per
+    non-face, only the index of its relabeled K_I among the distinct ones;
+    many non-faces share one.  `job_map` computes each distinct K_I's
+    reduced homology once, then the K_I are dropped and the total is summed.
+    Only those summaries and two integers per non-face outlive the call;
+    nothing is kept across calls.  The second pass is the returned
+    `summands`, a generator that can be read once: it makes each summand
+    when asked for it.  Every refusal is raised by the first pass, before
+    anything is returned; more than HOCHSTER_NONFACE_BOUND non-faces,
+    2^m - |K|, are refused up front.
     """
     dims = tuple(n for _ in range(k.m)) if isinstance(n, int) else tuple(n)
     if len(dims) != k.m:
@@ -342,18 +350,21 @@ def hochster_homology(k: SimplicialComplex, n: int | Sequence[int],
                                   f"bound is {HOCHSTER_NONFACE_BOUND}")
     masks = sorted((mask for mask in range(1, 1 << k.m) if mask not in k.faces),
                    key=face_sort_key)
-    subsets = [vertices_from_mask(mask) for mask in masks]
-    subcomplexes = [k.full_subcomplex(verts) for verts in subsets]
-    distinct = list(dict.fromkeys(subcomplexes))
-    reduced = dict(zip(distinct, (job_map or map)(reduced_simplicial_homology, distinct)))
-    summands = []
-    for verts, sub in zip(subsets, subcomplexes):
-        shift_by = 1 + sum(dims[v - 1] for v in verts)
-        summands.append(SplitSummand(verts,
-                                     f"K_{_subset_label(verts)} shifted by {shift_by}",
-                                     reduced[sub].shifted(shift_by)))
-    total = direct_sum(s.homology for s in summands)
-    return total, tuple(summands)
+    distinct: dict[SimplicialComplex, int] = {}
+    which = [distinct.setdefault(k.full_subcomplex(vertices_from_mask(mask)), len(distinct))
+             for mask in masks]
+    reduced = list((job_map or map)(reduced_simplicial_homology, distinct))
+    del distinct
+
+    def shifted() -> Iterator[tuple[tuple[int, ...], int, HomologySummary]]:
+        for mask, i in zip(masks, which):
+            verts = vertices_from_mask(mask)
+            shift_by = 1 + sum(dims[v - 1] for v in verts)
+            yield verts, shift_by, reduced[i].shifted(shift_by)
+
+    total = direct_sum(h for _, _, h in shifted())
+    return total, (SplitSummand(verts, f"K_{_subset_label(verts)} shifted by {shift_by}", h)
+                   for verts, shift_by, h in shifted())
 
 
 # -- wedge decomposition over faces (null-homotopic inclusions) -------------------

@@ -1,9 +1,12 @@
 """Command-line surface: file formats, exit codes, output determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from itertools import islice
 from pathlib import Path
@@ -26,7 +29,7 @@ from polyprod.files import (
 )
 from polyprod.homology import HomologySummary, direct_sum
 from polyprod.pairs import simplicial_space
-from polyprod.products import HOCHSTER_NONFACE_BOUND, contractible_X_summary
+from polyprod.products import HOCHSTER_NONFACE_BOUND, contractible_X_summary, hochster_homology
 
 SQUARE_TEXT = """\
 # the 4-cycle
@@ -497,7 +500,8 @@ def test_porter_on_forty_vertices_hits_the_enumeration_bound():
 
 def test_hochster_on_eighteen_points_hits_the_nonface_bound(tmp_path):
     # 2^18 - 19 non-faces; walking them would take gigabytes, so the count
-    # must be refused before any K_I is built
+    # must be refused before any K_I is built, and before the first byte
+    # of the document
     points = tmp_path / "points.cx"
     points.write_text("m 18\n" + "".join(f"face {v}\n" for v in range(1, 19)))
     src = str(Path(polyprod.__file__).resolve().parents[1])
@@ -508,7 +512,68 @@ def test_hochster_on_eighteen_points_hits_the_nonface_bound(tmp_path):
         capture_output=True, text=True, timeout=5, env=env)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert f"{(1 << 18) - 19} non-faces; bound is {HOCHSTER_NONFACE_BOUND}" in proc.stderr
+    assert proc.stderr == (f"error: Hochster's formula walks {(1 << 18) - 19} non-faces; "
+                           f"bound is {HOCHSTER_NONFACE_BOUND}\n")
+
+
+def test_hochster_refusals_write_nothing(capsys, square_file, monkeypatch):
+    assert run(capsys, "hochster", square_file, "--n", "-1") == (
+        1, "", "error: sphere dimension n must be >= 0\n")
+    # the CLI passes one n for every vertex; one dimension too many stands
+    # in for a caller that gets the arity wrong
+    monkeypatch.setattr(cli, "hochster_homology", lambda k, n, job_map=None:
+                        hochster_homology(k, (n,) * (k.m + 1), job_map))
+    assert run(capsys, "hochster", square_file) == (
+        1, "", "error: expected 4 sphere dimensions, got 5\n")
+
+
+def cycle_file(tmp_path, m: int) -> Path:
+    path = tmp_path / f"c{m}.cx"
+    path.write_text(f"m {m}\n" + "".join(f"face {v} {v % m + 1}\n" for v in range(1, m + 1)))
+    return path
+
+
+def test_a_reader_that_closes_stdout_early_gets_a_quiet_exit(tmp_path):
+    # the 14-cycle's document is 4.7 MB, far past a pipe buffer, so the
+    # writer meets the closed pipe in the middle of the summands
+    src = str(Path(polyprod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polyprod.cli", "hochster",
+         str(cycle_file(tmp_path, 14)), "--n", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(600)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head.startswith(b'{\n  "command": "hochster",\n  "n": 1,')
+    assert b"Traceback" not in err
+    assert err == b""
+
+
+class Discard(io.TextIOBase):
+    """A stdout that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_hochster_streams_its_summands_to_stdout(tmp_path):
+    # 16,355 summands in a 4.7 MB document.  Streamed, the peak is about
+    # 3.4 MB; holding the document as one string takes it to 11 MB, and
+    # holding the summands, their payload dicts and the document to 33 MB
+    cycle = cycle_file(tmp_path, 14)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Discard()):
+            code = main(["hochster", str(cycle), "--n", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6_000_000
 
 
 def test_validate_of_one_twenty_vertex_face_hits_the_closure_bound(tmp_path):
@@ -709,11 +774,33 @@ def test_json_output_is_sorted_and_stable(capsys, square_file):
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+class Streamed(list):
+    """A list that json_text hands to the writer as a generator."""
+
+
+def streamed(value):
+    """value with each Streamed list replaced by a generator over its items."""
+    if isinstance(value, Streamed):
+        return (streamed(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(streamed, value))
+    if isinstance(value, dict):
+        return {key: streamed(item) for key, item in value.items()}
+    return value
+
+
+def json_text(value) -> str:
+    pieces = []
+    cli._json(streamed(value), pieces.append)
+    return "".join(pieces)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.text()
     | st.integers(-2**70, 2**70) | st.sampled_from([0, 2**64, -2**64 - 1]),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(inner, max_size=4).map(Streamed)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=20)
 
@@ -721,15 +808,42 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES)
 def test_json_writer_matches_json_dumps_with_sorted_keys_and_indent(value):
-    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+    # json.dumps writes a Streamed list as a list; the writer is given a generator
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Streamed(),
+    {"a": Streamed(), "b": [Streamed(), {}]},
+    [Streamed([Streamed(), 1]), {"c": Streamed([{"d": Streamed([[]])}])}],
+], ids=["empty", "empty-in-dict-and-list", "nested"])
+def test_json_writer_writes_generators_as_lists(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_writer_writes_each_item_of_an_iterator_as_it_is_made():
+    log = []
+
+    def items():
+        for i in range(2):
+            log.append(f"make {i}")
+            yield {"i": i}
+
+    cli._json({"a": 1, "items": items(), "z": []}, log.append)
+    assert log == [
+        "make 0", '{\n  "a": 1,\n  "items": [\n    {\n      "i": 0\n    }',
+        "make 1", ',\n    {\n      "i": 1\n    }',
+        '\n  ],\n  "z": []\n}',
+    ]
 
 
 def test_json_writer_escapes_like_json_dumps():
     value = {"é": ["", "\x00\x1f\"\\/", "\U0001f600", " "], "": {}, "b": [[], {}]}
-    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("value", [1.0, {"x": [float("nan")]}, {1: 2}, {"x": {1, 2}}])
+@pytest.mark.parametrize("value", [1.0, {"x": [float("nan")]}, {1: 2}, {"x": {1, 2}},
+                                   {"x": Streamed([{1: 2}])}])
 def test_json_writer_refuses_what_a_payload_never_holds(value):
     with pytest.raises(TypeError):
-        cli._json(value)
+        json_text(value)

@@ -22,7 +22,7 @@ from polyprod.catalog import (
     square,
     standard_pair_library,
 )
-from polyprod.complexes import SimplicialComplex, skeleton, vertices_from_mask
+from polyprod.complexes import SimplicialComplex, face_sort_key, skeleton, vertices_from_mask
 from polyprod.errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -499,7 +499,26 @@ def test_hochster_square():
 def test_hochster_skips_faces():
     total, summands = hochster_homology(skeleton(3, 2), 1)
     assert total.is_trivial()
-    assert summands == ()
+    assert tuple(summands) == ()
+
+
+def test_hochster_summands_can_be_read_once():
+    _, summands = hochster_homology(square(), 1)
+    assert len(tuple(summands)) == 7    # the 16 subsets less 9 faces
+    assert tuple(summands) == ()
+
+
+def test_hochster_total_is_the_direct_sum_of_its_summands():
+    rng = random.Random(23)
+    for trial in range(20):
+        k = random_complex(rng, rng.randrange(1, 7))
+        dims = [rng.randrange(3) for _ in range(k.m)]
+        total, summands = hochster_homology(k, dims)
+        summands = tuple(summands)
+        assert total == direct_sum(s.homology for s in summands), (trial, face_tuples(k))
+        assert [s.subset for s in summands] == [
+            vertices_from_mask(mask) for mask in sorted(range(1, 1 << k.m), key=face_sort_key)
+            if mask not in k.faces]
 
 
 def test_hochster_matches_oracle_on_random_complexes():
@@ -542,7 +561,8 @@ def test_hochster_computes_each_distinct_full_subcomplex_once(monkeypatch, job_m
             calls.clear()
             _, summands = hochster_homology(k, 1, job_map=job_map)
             assert set(calls) == distinct and len(calls) == len(distinct)
-            assert len(summands) == len(non_faces)
+            assert len(tuple(summands)) == len(non_faces)
+            assert len(calls) == len(distinct)     # reading them computes nothing
 
 
 def test_hochster_rejects_negative_n():
