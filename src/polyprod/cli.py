@@ -363,6 +363,8 @@ def _cmd_toric(args) -> int:
 
 def _cmd_shifted(args) -> int:
     k = load_complex(args.complex)
+    if args.n is not None and args.n < 0:
+        raise InputError("sphere dimension n must be >= 0")
     verdict = k.is_shifted()
     payload = {
         "shifted": verdict.shifted,
@@ -372,7 +374,7 @@ def _cmd_shifted(args) -> int:
     }
     rows = [("shifted", verdict.shifted)]
     if verdict.shifted and args.n is not None:
-        wedge = sphere_wedge_report(k, args.n, labeling=verdict.labeling)
+        wedge = sphere_wedge_report(k, args.n)
         spheres = [(d, betti) for d, betti, _ in wedge.groups]
         payload["n"] = args.n
         payload["spheres"] = [{"dimension": d, "multiplicity": c} for d, c in spheres]
@@ -473,7 +475,7 @@ def build_parser() -> _Parser:
             "characteristic-matrix validation, Betti numbers, presentation")
     p.add_argument("matrix", help="matrix file (whitespace rows or JSON)")
 
-    p = add("shifted", _cmd_shifted, "shiftedness search and sphere wedge")
+    p = add("shifted", _cmd_shifted, "shiftedness test and sphere wedge")
     p.add_argument("--n", type=int,
                    help="also report the sphere wedge for (D^{n+1},S^n)")
 

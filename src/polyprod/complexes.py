@@ -17,14 +17,13 @@ of each face, so neither enumerates the 2^m subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FaceNotInComplex, InputError, SearchBoundExceeded
 
 MAX_ENUMERATION_VERTICES = 24
-SHIFTED_SEARCH_BOUND = 8
 CLOSURE_SUBSET_BOUND = 1 << 18
 
 
@@ -215,46 +214,39 @@ class SimplicialComplex:
 
     # shiftedness -------------------------------------------------------
 
-    def is_shifted(self, labeling: Sequence[int] | None = None):
-        """Search for a vertex relabelling making K shifted.
+    def is_shifted(self) -> "ShiftedVerdict":
+        """Whether some relabelling makes K shifted, and the least such.
 
-        Returns ShiftedVerdict.  With an explicit labeling only that one is
-        checked; otherwise all m! relabellings are tried
-        (m <= SHIFTED_SEARCH_BOUND).
-        labeling[i-1] is the new label of vertex i.
+        In a shifted labeling no vertex lies in more faces than one with a
+        smaller label, and vertices in equally many faces can swap labels.
+        So the vertices sorted by that count, largest first and ties by
+        vertex, give the lexicographically least shifted labeling whenever
+        one exists; labeling[i-1] is the new label of vertex i.  Otherwise
+        the counterexample is the identity labeling's least violating face.
         """
-        if labeling is not None:
-            perm = tuple(labeling)
-            if sorted(perm) != list(range(1, self.m + 1)):
-                raise InputError("labeling must be a permutation of 1..m")
-            bad = self._shift_violation(perm)
-            return ShiftedVerdict(bad is None, perm if bad is None else None, bad)
-        if self.m > SHIFTED_SEARCH_BOUND:
-            raise SearchBoundExceeded(
-                f"shifted search over {self.m}! labelings exceeds bound "
-                f"m <= {SHIFTED_SEARCH_BOUND}")
-        identity_violation = None
-        for perm in permutations(range(1, self.m + 1)):
-            bad = self._shift_violation(perm)
-            if bad is None:
-                return ShiftedVerdict(True, perm, None)
-            if identity_violation is None:
-                identity_violation = bad
-        return ShiftedVerdict(False, None, identity_violation)
+        counts = [sum(f >> b & 1 for f in self.faces) for b in range(self.m)]
+        order = sorted(range(self.m), key=lambda b: (-counts[b], b))
+        if self._shift_violation(order) is None:
+            labeling = tuple(order.index(b) + 1 for b in range(self.m))
+            return ShiftedVerdict(True, labeling, None)
+        return ShiftedVerdict(False, None,
+                              vertices_from_mask(self._shift_violation(range(self.m))))
 
-    def _shift_violation(self, perm: tuple[int, ...]):
-        """First face (relabeled) witnessing failure, or None if shifted."""
-        relabeled = frozenset(_relabel_mask(mask, perm) for mask in self.faces)
-        for mask in sorted(relabeled):
-            for v in range(self.m - 1, -1, -1):
-                if not mask >> v & 1:
-                    continue
-                for u in range(v):
-                    if mask >> u & 1:
-                        continue
-                    if (mask & ~(1 << v)) | (1 << u) not in relabeled:
-                        return vertices_from_mask(mask)
-        return None
+    def _shift_violation(self, order: Sequence[int]) -> int | None:
+        """The least face mask that an adjacent move F - v + u, u just before
+        v in order and not in F, takes out of K; None if K is shifted when
+        vertex order[i] + 1 gets label i + 1.  About m |K| lookups.
+
+        Adjacent moves compose to every downward move, one vertex of F at a
+        time, each step onto a face with a smaller mask.  So if a move takes
+        F out of K, some step takes a face of K with mask at most F's out,
+        and under the identity order the least face that any downward move
+        takes out is the one reported here.
+        """
+        faces = self.faces
+        moves = ((1 << u | 1 << v, 1 << v) for u, v in zip(order, order[1:]))
+        return min((f for pair, v_bit in moves for f in faces
+                    if f & pair == v_bit and f ^ pair not in faces), default=None)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ class FaceNotInComplex(InputError):
 
 
 class SearchBoundExceeded(PolyprodError):
-    """An exhaustive search (relabellings, subsets) would exceed its bound."""
+    """An exhaustive walk (subsets, non-faces) would exceed its bound."""
 
 
 # -- chain complexes ----------------------------------------------------------

@@ -544,8 +544,7 @@ def porter_decomposition(m: int, q: int,
     return HomologySummary.from_map({d: (count, ()) for d, count in counts.items()})
 
 
-def sphere_wedge_report(k: SimplicialComplex, n: int,
-                        labeling: Sequence[int] | None = None) -> HomologySummary:
+def sphere_wedge_report(k: SimplicialComplex, n: int) -> HomologySummary:
     """H-tilde of Sigma Z(K;(D^{n+1},S^n)) for a shifted K, a wedge of spheres:
     the Betti number in degree d counts its spheres S^d.
 
@@ -553,7 +552,7 @@ def sphere_wedge_report(k: SimplicialComplex, n: int,
     shifted complex are torsion-free, and a torsion violation is reported
     as its own error.  Subtract 1 from a degree to land on Z itself.
     """
-    verdict = k.is_shifted(labeling)
+    verdict = k.is_shifted()
     if not verdict.shifted:
         raise NotShifted(
             f"no labeling makes the complex shifted "

@@ -4,12 +4,12 @@ Porter's skeleton wedges by a walk over every subset, and the rejected
 bookkeeping the tests pin down; homology dimensions over F_p from a rank
 mod p that never leaves the field; the order complex of the faces above a
 face, which the link replaces in the wedge lemma; minimal non-faces by a
-scan of every subset and maximal faces by a containment walk; the
-simplicial join and the zero graded group; the complex enumeration that
-canonicalizes every labeled family; the face-series sums taken one
-RationalSeries addition at a time; the elimination of every boundary in
-full, without clearing; and the product model built cell tuple by cell
-tuple.
+scan of every subset and maximal faces by a containment walk; shiftedness
+by a search over all m! labelings; the simplicial join and the zero
+graded group; the complex enumeration that canonicalizes every labeled
+family; the face-series sums taken one RationalSeries addition at a time;
+the elimination of every boundary in full, without clearing; and the
+product model built cell tuple by cell tuple.
 """
 
 from itertools import permutations, product
@@ -18,6 +18,7 @@ from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 from polyprod.complexes import (
+    ShiftedVerdict,
     SimplicialComplex,
     mask_from_vertices,
     sorted_faces,
@@ -168,6 +169,34 @@ def maximal_faces_by_containment(k: SimplicialComplex) -> tuple[int, ...]:
         if not any(mask & big == mask for big in maximal):
             maximal.append(mask)
     return sorted_faces(maximal)
+
+
+# -- shiftedness by search ----------------------------------------------------
+
+def shifted_verdict_by_search(k: SimplicialComplex) -> ShiftedVerdict:
+    """Try all m! labelings in lexicographic order and return the first
+    under which K is shifted.  Otherwise the counterexample is the least
+    face that some downward move takes out of K under the identity.
+    labeling[i-1] is the new label of vertex i.  The faces are checked
+    largest first, where most labelings fail."""
+    faces = sorted_faces(k.faces)[::-1]
+    for perm in permutations(range(1, k.m + 1)):
+        if next(downward_move_violations(k, faces, perm), None) is None:
+            return ShiftedVerdict(True, perm, None)
+    identity = range(1, k.m + 1)
+    return ShiftedVerdict(False, None, vertices_from_mask(
+        min(downward_move_violations(k, faces, identity))))
+
+
+def downward_move_violations(k: SimplicialComplex, faces: Iterable[int],
+                             perm: Sequence[int]) -> Iterator[int]:
+    """Each face F, in the order given, once per pair v in F, u not in F
+    with perm[u] < perm[v] for which F - v + u is not in K: K relabeled by
+    perm is shifted iff there is none."""
+    verts = range(k.m)
+    return (f for f in faces for v in verts if f >> v & 1
+            for u in verts if not f >> u & 1 and perm[u] < perm[v]
+            and f ^ (1 << u | 1 << v) not in k.faces)
 
 
 # -- joins and the zero group -------------------------------------------------

@@ -656,6 +656,49 @@ def test_shifted_command(capsys, tmp_path, square_file):
     code, out, _ = run(capsys, "shifted", square_file)
     assert code == 0
     assert json.loads(out)["shifted"] is False
+    # a negative n is refused before the verdict, so the refusal does not
+    # depend on it
+    for path in (square_file, str(star)):
+        assert run(capsys, "shifted", path, "--n", "-1") == (
+            1, "", "error: sphere dimension n must be >= 0\n")
+
+
+def _run_cli(*argv):
+    src = str(Path(polyprod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # a subprocess with a timeout turns a hang into a failure
+    return subprocess.run([sys.executable, "-m", "polyprod.cli", *argv],
+                          capture_output=True, text=True, timeout=30, env=env)
+
+
+def test_shifted_on_twenty_four_vertices_finishes(tmp_path):
+    # 24! labelings are past any search; the computed one is checked with
+    # about m |K| lookups.  The 18-simplex on 7..24, all 2^18 faces, puts
+    # the six vertices outside it last
+    simplex = tmp_path / "simplex.cx"
+    simplex.write_text("m 24\nface " + " ".join(map(str, range(7, 25))) + "\n")
+    proc = _run_cli("shifted", str(simplex))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "command": "shifted", "schema": "polyprod/1", "shifted": True,
+        "labeling": [*range(19, 25), *range(1, 19)], "counterexample": None}
+    # two 17-simplices sharing 8..17, 2^18 - 2^10 faces: {8, 18} loses 8
+    # to 1, and {1, 18} is no face
+    pair = tmp_path / "pair.cx"
+    pair.write_text("m 24\nface " + " ".join(map(str, range(1, 18)))
+                    + "\nface " + " ".join(map(str, range(8, 25))) + "\n")
+    proc = _run_cli("shifted", str(pair))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "command": "shifted", "schema": "polyprod/1", "shifted": False,
+        "labeling": None, "counterexample": [8, 18]}
+    # the sphere wedge goes through Hochster's formula, which refuses the
+    # 2^24 - 2^18 non-faces before the first byte of output
+    proc = _run_cli("shifted", str(simplex), "--n", "1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"error: Hochster's formula walks {(1 << 24) - (1 << 18)} "
+                           f"non-faces; bound is {HOCHSTER_NONFACE_BOUND}\n")
 
 
 # ---------------------------------------------------------------------------

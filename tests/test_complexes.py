@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import polyprod.complexes as complexes
 from polyprod.complexes import (
+    ShiftedVerdict,
     SimplicialComplex,
     face_sort_key,
     mask_from_vertices,
@@ -41,6 +42,7 @@ from oracles import (
     maximal_faces_by_containment,
     minimal_non_faces_by_subsets,
     order_complex_below,
+    shifted_verdict_by_search,
 )
 
 
@@ -261,27 +263,46 @@ def test_square_is_not_shifted_under_any_labeling():
     assert verdict.counterexample is not None
 
 
-def test_shifted_search_recovers_scrambled_labeling():
+def test_computed_labeling_unscrambles_a_shifted_complex():
+    # the search tries the identity first, so it returns the identity
+    # exactly when the complex is shifted as labeled
     rng = random.Random(7)
     for _ in range(10):
         m = rng.randrange(2, 6)
+        identity = tuple(range(1, m + 1))
         k = random_shifted_complex(rng, m)
-        assert k.is_shifted((tuple(range(1, m + 1)))).shifted
-        perm = list(range(1, m + 1))
+        assert shifted_verdict_by_search(k).labeling == identity
+        perm = list(identity)
         rng.shuffle(perm)
         scrambled = relabeled(k, perm)
         verdict = scrambled.is_shifted()
         assert verdict.shifted
-        assert relabeled(scrambled, verdict.labeling).is_shifted(
-            tuple(range(1, m + 1))).shifted
+        assert shifted_verdict_by_search(
+            relabeled(scrambled, verdict.labeling)).labeling == identity
 
 
-def test_shifted_search_bound():
-    k = skeleton(9, 0)
-    with pytest.raises(SearchBoundExceeded):
-        k.is_shifted()
-    # explicit labeling bypasses the search
-    assert k.is_shifted(tuple(range(1, 10))).shifted
+def test_nine_points_are_shifted():
+    assert skeleton(9, 0).is_shifted() == ShiftedVerdict(True, tuple(range(1, 10)), None)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_is_shifted_matches_the_search_on_every_labeled_complex(m):
+    complexes_on_m = all_complexes_on(m, up_to_iso=False)
+    for k in complexes_on_m:
+        assert k.is_shifted() == shifted_verdict_by_search(k), face_tuples(k)
+    assert len(complexes_on_m) == (2, 5, 19, 167, 7580)[m - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_is_shifted_matches_the_search_on_relabeled_random_complexes(m, seed, shifted):
+    rng = random.Random(seed)
+    if not m:
+        k = SimplicialComplex(0, frozenset({0}))
+    else:
+        k = (random_shifted_complex if shifted else random_complex)(rng, m)
+        k = relabeled(k, rng.sample(range(1, m + 1), m))
+    assert k.is_shifted() == shifted_verdict_by_search(k)
 
 
 def test_join_of_two_point_pairs_is_a_cycle():

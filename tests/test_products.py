@@ -70,6 +70,7 @@ from fixtures import (
     face_tuples,
     random_complex,
     random_shifted_complex,
+    relabeled,
     s0_space,
     star_complex,
 )
@@ -787,6 +788,15 @@ def test_sphere_wedge_report_matches_the_cellular_model_for_random_shifted():
         k = random_shifted_complex(rng, rng.randrange(2, 6))
         for n in (1, 2):
             assert sphere_wedge_report(k, n) == _cellular_wedge(k, n), (trial, n)
+
+
+def test_sphere_wedge_report_on_ten_scrambled_vertices_matches_the_cellular_model():
+    rng = random.Random(5)
+    k = random_shifted_complex(rng, 10)
+    k = relabeled(k, rng.sample(range(1, 11), 10))
+    assert k.is_shifted().labeling != tuple(range(1, 11))
+    for n in (0, 1):
+        assert sphere_wedge_report(k, n) == _cellular_wedge(k, n), n
 
 
 def test_sphere_wedge_report_rejects_unshifted():
