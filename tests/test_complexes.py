@@ -263,7 +263,7 @@ def test_square_is_not_shifted_under_any_labeling():
     assert verdict.counterexample is not None
 
 
-def test_computed_labeling_unscrambles_a_shifted_complex():
+def test_shifted_search_recovers_scrambled_labeling():
     # the search tries the identity first, so it returns the identity
     # exactly when the complex is shifted as labeled
     rng = random.Random(7)
@@ -281,7 +281,8 @@ def test_computed_labeling_unscrambles_a_shifted_complex():
             relabeled(scrambled, verdict.labeling)).labeling == identity
 
 
-def test_nine_points_are_shifted():
+def test_shifted_search_bound():
+    # the old m <= 8 cap on the labeling search is gone
     assert skeleton(9, 0).is_shifted() == ShiftedVerdict(True, tuple(range(1, 10)), None)
 
 
